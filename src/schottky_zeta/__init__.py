@@ -19,6 +19,7 @@ from .schottky import (
 )
 from .reps import UnitaryRep, direct_sum, trivial_rep
 from .transfer import (
+    HSPrimeSumRecord,
     HSRecord,
     TransferMatrix,
     assemble,
@@ -27,6 +28,7 @@ from .transfer import (
     bergman_kernel,
     hs_norm_integral,
     hs_norm_matrix,
+    hs_prime_sum,
 )
 from .zeta import (
     PrimitiveClass,
@@ -34,6 +36,7 @@ from .zeta import (
     count_zeros_rect,
     delta,
     euler_product,
+    jensen_bound,
     new_eigenvalue_count,
     primitive_classes,
     real_zeros,
@@ -53,12 +56,4 @@ from .congruence import (
     trace_bruteforce,
     trace_formula,
 )
-from .arithmetic import (
-    CharSumRecord,
-    HSPrimeSumRecord,
-    char_sum,
-    hs_prime_sum,
-    jensen_bound,
-    kronecker,
-    primes_between,
-)
+from .arithmetic import CharSumRecord, char_sum, kronecker, primes_between

@@ -1,5 +1,6 @@
-"""Kronecker symbols, prime sieving, log-weighted character sums over dyadic
-prime ranges, the summed Hilbert-Schmidt diagnostic, and the Jensen bound."""
+"""Kronecker symbols, prime sieving and log-weighted character sums over dyadic
+prime ranges. Pure number theory: nothing here depends on the groups or the
+transfer operators."""
 
 from __future__ import annotations
 
@@ -7,8 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .schottky import SchottkyGroup
 
 SIEVE_CAP = 10**8
 
@@ -42,10 +41,10 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def primes_between(lo: float, hi: float, cap: int = SIEVE_CAP) -> list[int]:
+def primes_between(lo: float, hi: float) -> list[int]:
     """Increasing list of primes in (lo, hi], segmented numpy sieve."""
-    if hi > cap:
-        raise SieveCapError(f"sieve bound {hi} exceeds cap {cap}")
+    if hi > SIEVE_CAP:
+        raise SieveCapError(f"sieve bound {hi} exceeds cap {SIEVE_CAP}")
     hi_i = math.floor(hi)
     lo_i = max(math.floor(lo), 1)
     if hi_i < 2 or hi_i <= lo_i - 1:
@@ -82,12 +81,12 @@ class CharSumRecord:
     prime_count: int
 
 
-def char_sum(d: int, x: float, cap: int = SIEVE_CAP) -> CharSumRecord:
+def char_sum(d: int, x: float) -> CharSumRecord:
     if d == 0:
         raise ValueError("top argument d must be nonzero")
     if x < 4:
         raise ValueError("x must be >= 4")
-    primes = primes_between(x / 2, x, cap)
+    primes = primes_between(x / 2, x)
     total = 0.0
     unweighted = 0.0
     for p in primes:
@@ -99,166 +98,3 @@ def char_sum(d: int, x: float, cap: int = SIEVE_CAP) -> CharSumRecord:
         d=d, x=x, total=total, unweighted=unweighted,
         bound_ratio=abs(total) / denom, prime_count=len(primes),
     )
-
-
-# -- summed Hilbert-Schmidt diagnostic -------------------------------------------
-
-
-@dataclass(frozen=True)
-class HSPrimeSumRecord:
-    tau: float
-    s: complex
-    x: float
-    primes: tuple[int, ...]
-    direct: float | None           # sum of log(p) ||L_{tau,s,lambda_p^0}||_HS^2
-    decomposed: float | None
-    diagonal: float | None
-    off_diagonal: float | None
-    per_prime: dict[int, float] | None
-    fallback_pairs: int = 0        # pairs where gamma = +-I mod p forced brute force
-
-
-def hs_prime_sum(
-    group: SchottkyGroup,
-    tau: float,
-    s: complex,
-    x: float,
-    mode: str = "both",
-    p_cap: int = 1000,
-    radial_order: int = 24,
-    angular_order: int = 48,
-) -> HSPrimeSumRecord:
-    """Two computation paths for sum over p ~ x of log(p) ||L_{tau,s,lambda_p^0}||^2_HS.
-
-    direct: per-prime kernel-integral HS norms with the materialized sum-zero
-    representation. decomposed: diagonal prime sum plus off-diagonal
-    character sums via the fixed-line trace formula.
-    """
-    from .congruence import _is_pm_identity, rep_lambda_p0, surjective_mod_p
-    from .transfer import pair_integrals
-
-    partition = group.partition(tau)
-    primes = primes_between(x / 2, x)
-    for p in primes:
-        if not surjective_mod_p(group, p):
-            raise ValueError(f"reduction mod {p} not surjective; prime sum undefined")
-        if mode in ("direct", "both") and p > p_cap:
-            raise ValueError(f"p={p} exceeds the direct-mode cap {p_cap}")
-
-    ints = pair_integrals(group, partition, s, radial_order, angular_order)
-    pair_words = sorted({(wa, wb) for (_, wa, wb) in ints})
-    pair_total = {
-        pw: sum(v for (b, wa, wb), v in ints.items() if (wa, wb) == pw) for pw in pair_words
-    }
-    rel_matrix = {
-        (wa, wb): group.word_matrix(group.mirror(wa) + wb) for (wa, wb) in pair_words
-    }
-
-    direct = per_prime = None
-    if mode in ("direct", "both"):
-        per_prime = {}
-        for p in primes:
-            rep = rep_lambda_p0(group, p)
-            acc = 0.0 + 0.0j
-            traces = {}
-            for (wa, wb), val in pair_total.items():
-                if (wa, wb) not in traces:
-                    traces[(wa, wb)] = complex(np.trace(rep.inverse_image(wa) @ rep.image(wb)))
-                acc += traces[(wa, wb)] * val
-            per_prime[p] = acc.real
-        direct = sum(math.log(p) * v for p, v in sorted(per_prime.items()))
-
-    decomposed = diagonal = off_diagonal = None
-    fallback = 0
-    if mode in ("decomposed", "both"):
-        prime_weight = sum(p * math.log(p) for p in primes)
-        diagonal = prime_weight * sum(v.real for (wa, wb), v in pair_total.items() if wa == wb)
-        off_diagonal = 0.0
-        for (wa, wb), val in pair_total.items():
-            if wa == wb:
-                continue
-            g = rel_matrix[(wa, wb)]
-            disc = g.trace() ** 2 - 4
-            tr_sum = 0.0
-            for p in primes:
-                if _is_pm_identity(g, p):
-                    fallback += 1
-                    tr_sum += math.log(p) * p
-                else:
-                    tr_sum += math.log(p) * kronecker(disc, p)
-            off_diagonal += tr_sum * val.real
-        decomposed = diagonal + off_diagonal
-
-    return HSPrimeSumRecord(
-        tau=tau, s=s, x=x, primes=tuple(primes),
-        direct=direct, decomposed=decomposed,
-        diagonal=diagonal, off_diagonal=off_diagonal,
-        per_prime=per_prime, fallback_pairs=fallback,
-    )
-
-
-# -- Jensen zero-count bound ------------------------------------------------------
-
-
-def jensen_bound(
-    group: SchottkyGroup,
-    p: int,
-    sigma: float,
-    tau: float,
-    K: float = 6.0,
-    n_basis: int = 16,
-    delta_value: float | None = None,
-    theta_samples: int = 512,
-    bound_tol: float = 0.1,
-    max_doublings: int = 3,
-) -> float:
-    """Numerical Jensen upper bound for the zero count in [sigma, delta].
-
-    Uses sigma_0 = delta + K, r_1 = sqrt((sigma_0-sigma)^2 + 1),
-    r_2 = r_1 + 1/K, the trapezoid mean of log|zeta_tau| on the circle of
-    radius r_2, and the actual -log|zeta_tau(sigma_0)| at the center. Zeros of
-    zeta_tau near the left edge of the circle make the integrand spiky, so the
-    sampling is doubled until the implied bound moves by less than bound_tol
-    (measured in zeros, not in relative terms).
-    """
-    from .congruence import rep_lambda_p0
-    from .zeta import delta as delta_fn
-    from .zeta import refined_zeta
-
-    d = delta_value if delta_value is not None else delta_fn(group, tol=1e-6, n_basis=n_basis)
-    if sigma >= d:
-        raise ValueError(f"sigma={sigma} must lie below delta={d}")
-    partition = group.partition(tau)
-    rep = rep_lambda_p0(group, p)
-    sigma0 = d + K
-    r1 = math.sqrt((sigma0 - sigma) ** 2 + 1.0)
-    r2 = r1 + 1.0 / K
-
-    center_val = abs(refined_zeta(group, partition, sigma0, rep, n_basis))
-    if center_val < 1e-12:
-        raise ValueError("refined zeta nearly vanishes at the Jensen center")
-
-    log_ratio = math.log(r2 / r1)
-
-    def circle_mean(n: int) -> float:
-        thetas = np.arange(n) / n
-        vals = []
-        for t in thetas:
-            s = sigma0 + r2 * np.exp(2j * np.pi * t)
-            vals.append(math.log(abs(refined_zeta(group, partition, complex(s), rep, n_basis))))
-        return float(np.mean(vals))
-
-    n = theta_samples
-    val = circle_mean(n)
-    for _ in range(max_doublings):
-        refined = circle_mean(2 * n)
-        if abs(refined - val) <= bound_tol * log_ratio:
-            val = refined
-            break
-        n *= 2
-        val = refined
-    else:
-        raise RuntimeError("Jensen circle integral did not stabilize")
-
-    bound = (val - math.log(center_val)) / log_ratio
-    return max(bound, 0.0)

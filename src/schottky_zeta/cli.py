@@ -14,11 +14,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .arithmetic import char_sum, hs_prime_sum, jensen_bound
+from .arithmetic import char_sum
 from .congruence import (
     _closure_size,
     rep_lambda_p,
@@ -33,11 +32,11 @@ from .schottky import (
     named_group,
     validate_group,
 )
-from .transfer import DEFAULT_N
+from .transfer import DEFAULT_N, hs_prime_sum
 from .zeta import (
     delta,
-    delta_bisection,
-    delta_from_zeta,
+    delta_methods,
+    jensen_bound,
     new_eigenvalue_count,
     real_zeros,
     refined_zeta,
@@ -177,12 +176,10 @@ def cmd_zeros(args, outdir: Path, config: dict) -> dict:
 
 def cmd_delta(args, outdir: Path, config: dict) -> dict:
     group = load_group(args.group)
-    d1 = delta_bisection(group, tol=args.tol, n_basis=args.n_basis)
-    d2 = delta_from_zeta(group, tol=args.tol, n_basis=args.n_basis)
-    d = delta(group, tol=args.tol, n_basis=args.n_basis)
+    d1, d2 = delta_methods(group, tol=args.tol, n_basis=args.n_basis)
     _write_csv(outdir / "delta.csv", ["group", "delta", "bisection", "zeta_zero"],
-               [[group.label, d, d1, d2]])
-    return {"group": group.label, "delta": d, "bisection": d1, "zeta_zero": d2}
+               [[group.label, d1, d1, d2]])
+    return {"group": group.label, "delta": d1, "bisection": d1, "zeta_zero": d2}
 
 
 def cmd_np(args, outdir: Path, config: dict) -> dict:
@@ -215,12 +212,7 @@ def cmd_trace_check(args, outdir: Path, config: dict) -> dict:
     words = [w for w in group.words_up_to(args.max_len) if w]
     primes = [p for p in range(args.pmin, args.pmax + 1)
               if p >= 2 and all(p % q for q in range(2, int(math.isqrt(p)) + 1))]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(lambda p: _trace_check_one(group, p, words), primes))
-    else:
-        results = [_trace_check_one(group, p, words) for p in primes]
-    results.sort(key=lambda r: r["p"])
+    results = [_trace_check_one(group, p, words) for p in primes]
     rows = [[r["p"], int(r["surjective"]), r["closure_size"], r["words_checked"], r["mismatches"]]
             for r in results]
     _write_csv(outdir / "trace_check.csv",
@@ -232,13 +224,7 @@ def cmd_trace_check(args, outdir: Path, config: dict) -> dict:
 def cmd_charsum(args, outdir: Path, config: dict) -> dict:
     ds = _int_list(args.d)
     xs = _float_list(args.x)
-    tasks = [(d, x) for d in ds for x in xs]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            recs = list(pool.map(lambda t: char_sum(*t), tasks))
-    else:
-        recs = [char_sum(d, x) for d, x in tasks]
-    recs.sort(key=lambda r: (r.d, r.x))
+    recs = sorted((char_sum(d, x) for d in ds for x in xs), key=lambda r: (r.d, r.x))
     rows = [[r.d, r.x, r.total, r.bound_ratio] for r in recs]
     _write_csv(outdir / "charsum.csv", ["d", "x", "sum", "bound_ratio"], rows)
     return {"records": [
@@ -299,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; command-line flags win")
     parser.add_argument("--out", help=f"output directory (default: ${OUTPUT_ENV_VAR} or cwd)")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; every command runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .arithmetic import kronecker
 from .reps import UnitaryRep
-from .schottky import Moebius, SchottkyGroup, Word
+from .schottky import Moebius, SchottkyGroup
 
 CLOSURE_CAP = 10**7
 
@@ -52,15 +52,15 @@ def _normalize_line(v: tuple[int, int], p: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _closure_size(group: SchottkyGroup, p: int, cap: int = CLOSURE_CAP) -> int:
+def _closure_size(group: SchottkyGroup, p: int) -> int:
     """Size of the subgroup of SL_2(F_p) generated by the reduced generators.
 
     Cached: the surjectivity checks inside the trace functions would otherwise
     repeat a BFS over up to p(p^2-1) matrices on every call.
     """
     target = p * (p * p - 1)
-    if target > cap:
-        raise SurjectivityError(f"|SL_2(F_{p})| = {target} exceeds enumeration cap {cap}")
+    if target > CLOSURE_CAP:
+        raise SurjectivityError(f"|SL_2(F_{p})| = {target} exceeds enumeration cap {CLOSURE_CAP}")
     gens = [reduce_mod(group.generator(a), p) for a in group.alphabet]
     gens = [(g[0][0], g[0][1], g[1][0], g[1][1]) for g in gens]
     identity = (1, 0, 0, 1)
@@ -85,8 +85,8 @@ def _closure_size(group: SchottkyGroup, p: int, cap: int = CLOSURE_CAP) -> int:
     return len(seen)
 
 
-def surjective_mod_p(group: SchottkyGroup, p: int, cap: int = CLOSURE_CAP) -> bool:
-    return _closure_size(group, p, cap) == p * (p * p - 1)
+def surjective_mod_p(group: SchottkyGroup, p: int) -> bool:
+    return _closure_size(group, p) == p * (p * p - 1)
 
 
 def coset_perm(g: Moebius, p: int) -> tuple[int, ...]:

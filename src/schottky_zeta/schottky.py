@@ -18,7 +18,7 @@ EMPTY_WORD: Word = ()
 #: Disk sentinel for the point at infinity on the Riemann sphere.
 INF = complex("inf")
 
-DEFAULT_WORD_CAP = 10**6
+WORD_CAP = 10**6
 
 
 class GroupValidationError(ValueError):
@@ -97,17 +97,6 @@ class Moebius:
         if den == 0:
             raise ZeroDivisionError(f"derivative evaluated at pole of {self}")
         return 1.0 / (den * den)
-
-    def derivative_power(self, z: complex, s: complex) -> complex:
-        """gamma'(z)^s with the principal branch of the logarithm.
-
-        Requires gamma'(z) off the cut (-inf, 0]; this holds on the Schottky
-        disks for admissible words and is enforced at runtime.
-        """
-        w = self.derivative(z)
-        if w.imag == 0.0 and w.real <= 0.0:
-            raise ValueError(f"derivative {w} lies on the branch cut")
-        return cmath.exp(s * (math.log(abs(w)) + 1j * cmath.phase(w)))
 
 
 IDENTITY = Moebius(1, 0, 0, 1)
@@ -213,7 +202,7 @@ class SchottkyGroup:
 
     # -- partitions ----------------------------------------------------------
 
-    def partition(self, tau: float, cap: int = DEFAULT_WORD_CAP) -> "Partition":
+    def partition(self, tau: float) -> "Partition":
         """The partition Z(tau) = {w : |I_w| <= tau < |I_w'|}.
 
         Y collects the truncations w' of partition words; the refined transfer
@@ -234,8 +223,8 @@ class SchottkyGroup:
             w = stack.pop()
             if self.interval_length(w) <= tau:
                 Z.append(w)
-                if len(Z) > cap:
-                    raise PartitionError(f"partition exceeds word cap {cap}")
+                if len(Z) > WORD_CAP:
+                    raise PartitionError(f"partition exceeds word cap {WORD_CAP}")
             else:
                 for b in reversed(self.alphabet):
                     if b != self.bar(w[-1]):

@@ -1,5 +1,6 @@
 """Selberg zeta functions via Fredholm determinants and Euler products,
-zero location/counting, and the limit-set dimension delta."""
+zero location/counting, the limit-set dimension delta, and the Jensen bound
+on zero counts of the congruence twists."""
 
 from __future__ import annotations
 
@@ -9,9 +10,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .congruence import rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Partition, SchottkyGroup, Word
 from .transfer import DEFAULT_N, assemble_refined, assemble_standard
+
+DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
+DELTA_GRID = 64                    # sign-scan points of the determinant for delta
+ZEROS_GRID = 200                   # sign-scan points of real_zeros
+IM_REL_TOL = 1e-8                  # allowed imaginary part of the determinant at real s
+RECT_SAMPLES_PER_EDGE = 16
+RECT_MAX_REFINEMENTS = 6
+BOUNDARY_FLOOR = 1e-13             # |det| below this on a rectangle edge counts as a zero there
+CIRCLE_SAMPLES = 32
+CIRCLE_MAX_REFINEMENTS = 5
+JENSEN_MAX_DOUBLINGS = 3
 
 
 class ConvergenceError(RuntimeError):
@@ -139,59 +152,61 @@ def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N)
 # -- delta ----------------------------------------------------------------------
 
 
-def delta_bisection(
-    group: SchottkyGroup,
-    tol: float = 1e-8,
-    n_basis: int = DEFAULT_N,
-    bracket: tuple[float, float] = (1e-3, 0.999),
-) -> float:
-    """Dimension of the limit set: the s with leading eigenvalue of L_s = 1."""
-    lo, hi = bracket
-    if leading_eigenvalue(group, lo, n_basis) < 1.0 or leading_eigenvalue(group, hi, n_basis) > 1.0:
-        raise ConvergenceError(f"bisection bracket {bracket} does not straddle delta")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if leading_eigenvalue(group, mid, n_basis) > 1.0:
-            lo = mid
+def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
+    """Midpoint of [a, b] after halving it until b - a <= tol, keeping a sign
+    change of f inside; fa = f(a)."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fa * fm <= 0:
+            b = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            a, fa = mid, fm
+    return 0.5 * (a + b)
 
 
-def delta_from_zeta(
-    group: SchottkyGroup,
-    tol: float = 1e-8,
-    n_basis: int = DEFAULT_N,
-    bracket: tuple[float, float] = (1e-3, 0.999),
-    grid: int = 64,
-) -> float:
+def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
+    """Dimension of the limit set: the s with leading eigenvalue of L_s = 1."""
+    lo, hi = DELTA_BRACKET
+
+    def excess(s: float) -> float:
+        return leading_eigenvalue(group, s, n_basis) - 1.0
+
+    f_lo = excess(lo)
+    if f_lo < 0 or excess(hi) > 0:
+        raise ConvergenceError(f"bisection bracket {DELTA_BRACKET} does not straddle delta")
+    return _bisect_sign_change(excess, lo, hi, f_lo, tol)
+
+
+def delta_from_zeta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
     """Largest real zero of det(1 - L_s), by sign scan plus bisection."""
-    xs = np.linspace(bracket[0], bracket[1], grid)
+    xs = np.linspace(DELTA_BRACKET[0], DELTA_BRACKET[1], DELTA_GRID)
     vals = [zeta_det(group, float(x), None, n_basis).real for x in xs]
-    for i in range(grid - 2, -1, -1):
+    for i in range(DELTA_GRID - 2, -1, -1):
         if vals[i] == 0.0:
             return float(xs[i])
         if vals[i] * vals[i + 1] < 0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            flo = vals[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fmid = zeta_det(group, mid, None, n_basis).real
-                if flo * fmid <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            return 0.5 * (lo + hi)
+            return _bisect_sign_change(
+                lambda x: zeta_det(group, x, None, n_basis).real,
+                float(xs[i]), float(xs[i + 1]), vals[i], tol,
+            )
     raise ConvergenceError("no real determinant zero found in the bracket")
 
 
-def delta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
-    """delta by eigenvalue bisection, cross-checked against the zeta zero."""
+def delta_methods(
+    group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N
+) -> tuple[float, float]:
+    """(eigenvalue bisection, largest determinant zero), which must agree to 10 tol."""
     d1 = delta_bisection(group, tol, n_basis)
     d2 = delta_from_zeta(group, tol, n_basis)
     if abs(d1 - d2) > 10 * tol:
         raise ConvergenceError(f"delta methods disagree: {d1} vs {d2} (tol {tol})")
-    return d1
+    return d1, d2
+
+
+def delta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
+    """delta by eigenvalue bisection, cross-checked against the zeta zero."""
+    return delta_methods(group, tol, n_basis)[0]
 
 
 # -- zero counting ---------------------------------------------------------------
@@ -229,14 +244,28 @@ class BoundaryZeroError(RuntimeError):
     pass
 
 
+def _winding_number(f, contour, n: int, max_refinements: int) -> int:
+    """Winding number of f around the closed contour sampled at the n points
+    contour(n); n doubles until consecutive phase increments stay below pi/2."""
+    for _ in range(max_refinements):
+        phases = np.angle(np.array([f(complex(z)) for z in contour(n)]))
+        inc = np.diff(np.concatenate([phases, phases[:1]]))
+        inc = (inc + np.pi) % (2 * np.pi) - np.pi
+        if np.max(np.abs(inc)) < np.pi / 2:
+            w = float(np.sum(inc) / (2 * np.pi))
+            count = round(w)
+            if abs(w - count) > 0.25:
+                raise ConvergenceError(f"non-integral winding number {w}")
+            return count
+        n *= 2
+    raise ConvergenceError("winding number did not stabilize under refinement")
+
+
 def count_zeros_rect(
     group: SchottkyGroup,
     rep: UnitaryRep | None,
     rect: tuple[complex, complex],
     n_basis: int = DEFAULT_N,
-    samples_per_edge: int = 16,
-    max_refinements: int = 6,
-    boundary_floor: float = 1e-13,
 ) -> int:
     """Winding number of det(1 - L_s) along a rectangle boundary.
 
@@ -258,26 +287,13 @@ def count_zeros_rect(
 
     def f(s: complex) -> complex:
         if s not in cache:
-            cache[s] = zeta_det(group, s, rep, n_basis)
+            v = zeta_det(group, s, rep, n_basis)
+            if abs(v) < BOUNDARY_FLOOR:
+                raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
+            cache[s] = v
         return cache[s]
 
-    n = samples_per_edge
-    for _ in range(max_refinements):
-        pts = boundary(n)
-        vals = np.array([f(complex(p)) for p in pts])
-        if np.min(np.abs(vals)) < boundary_floor:
-            raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
-        phases = np.angle(vals)
-        inc = np.diff(np.concatenate([phases, phases[:1]]))
-        inc = (inc + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(inc)) < np.pi / 2:
-            w = float(np.sum(inc) / (2 * np.pi))
-            count = round(w)
-            if abs(w - count) > 0.25:
-                raise ConvergenceError(f"non-integral winding number {w}")
-            return count
-        n *= 2
-    raise ConvergenceError("winding number did not stabilize under refinement")
+    return _winding_number(f, boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
 
 def _multiplicity_circle(
@@ -286,22 +302,13 @@ def _multiplicity_circle(
     center: complex,
     radius: float,
     n_basis: int,
-    samples: int = 32,
-    max_refinements: int = 5,
 ) -> int:
-    n = samples
-    for _ in range(max_refinements):
-        thetas = 2 * np.pi * np.arange(n) / n
-        vals = np.array(
-            [zeta_det(group, complex(center + radius * np.exp(1j * t)), rep, n_basis) for t in thetas]
-        )
-        phases = np.angle(vals)
-        inc = np.diff(np.concatenate([phases, phases[:1]]))
-        inc = (inc + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(inc)) < np.pi / 2:
-            return round(float(np.sum(inc) / (2 * np.pi)))
-        n *= 2
-    raise ConvergenceError("multiplicity circle did not stabilize")
+    def circle(n: int) -> list[complex]:
+        return [center + radius * np.exp(1j * t) for t in 2 * np.pi * np.arange(n) / n]
+
+    return _winding_number(
+        lambda s: zeta_det(group, s, rep, n_basis), circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS
+    )
 
 
 def real_zeros(
@@ -311,8 +318,6 @@ def real_zeros(
     hi: float,
     tol: float = 1e-6,
     n_basis: int = DEFAULT_N,
-    grid: int = 200,
-    im_rel_tol: float = 1e-8,
 ) -> ZeroReport:
     """All real zeros of det(1 - L_{s,rho}) in [lo, hi] with multiplicity.
 
@@ -322,34 +327,28 @@ def real_zeros(
     5 * tol.
     """
     rep_label = rep.label if rep is not None else "trivial"
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, ZEROS_GRID)
     vals = []
     for x in xs:
         v = zeta_det(group, float(x), rep, n_basis)
-        if abs(v.imag) > im_rel_tol * (1.0 + abs(v)):
+        if abs(v.imag) > IM_REL_TOL * (1.0 + abs(v)):
             raise SymmetryError(f"determinant not numerically real at s={x}: {v}")
         vals.append(v.real)
     vals = np.array(vals)
 
     candidates: list[float] = []
-    for i in range(grid - 1):
+    for i in range(ZEROS_GRID - 1):
         if vals[i] == 0.0:
             candidates.append(float(xs[i]))
         elif vals[i] * vals[i + 1] < 0:
-            a, b = float(xs[i]), float(xs[i + 1])
-            fa = vals[i]
-            while b - a > tol / 4:
-                midp = 0.5 * (a + b)
-                fm = zeta_det(group, midp, rep, n_basis).real
-                if fa * fm <= 0:
-                    b = midp
-                else:
-                    a, fa = midp, fm
-            candidates.append(0.5 * (a + b))
+            candidates.append(_bisect_sign_change(
+                lambda x: zeta_det(group, x, rep, n_basis).real,
+                float(xs[i]), float(xs[i + 1]), vals[i], tol / 4,
+            ))
 
     # interior local minima of |det| without a sign change: even-order zeros
     absvals = np.abs(vals)
-    for i in range(1, grid - 1):
+    for i in range(1, ZEROS_GRID - 1):
         if absvals[i] < absvals[i - 1] and absvals[i] < absvals[i + 1] and vals[i - 1] * vals[i + 1] > 0:
             a, b = float(xs[i - 1]), float(xs[i + 1])
             for _ in range(60):
@@ -386,8 +385,6 @@ def new_eigenvalue_count(
     delta_value: float | None = None,
 ) -> int:
     """Number of zeros of Z(., lambda_p^0) in [sigma, delta], with multiplicity."""
-    from .congruence import rep_lambda_p0, surjective_mod_p
-
     if not surjective_mod_p(group, p):
         raise ValueError(f"reduction mod {p} is not surjective; the induced-rep count is invalid")
     d = delta_value if delta_value is not None else delta(group, tol=min(tol, 1e-6), n_basis=n_basis)
@@ -396,3 +393,62 @@ def new_eigenvalue_count(
     rep = rep_lambda_p0(group, p)
     report = real_zeros(group, rep, sigma, d + 2 * tol, tol=tol, n_basis=n_basis)
     return report.total_count()
+
+
+def jensen_bound(
+    group: SchottkyGroup,
+    p: int,
+    sigma: float,
+    tau: float,
+    K: float = 6.0,
+    n_basis: int = DEFAULT_N,
+    delta_value: float | None = None,
+    theta_samples: int = 512,
+    bound_tol: float = 0.1,
+) -> float:
+    """Numerical Jensen upper bound for the zero count in [sigma, delta].
+
+    Uses sigma_0 = delta + K, r_1 = sqrt((sigma_0-sigma)^2 + 1),
+    r_2 = r_1 + 1/K, the trapezoid mean of log|zeta_tau| on the circle of
+    radius r_2, and the actual -log|zeta_tau(sigma_0)| at the center. Zeros of
+    zeta_tau near the left edge of the circle make the integrand spiky, so the
+    sampling is doubled until the implied bound moves by less than bound_tol
+    (measured in zeros, not in relative terms).
+    """
+    d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)
+    if sigma >= d:
+        raise ValueError(f"sigma={sigma} must lie below delta={d}")
+    partition = group.partition(tau)
+    rep = rep_lambda_p0(group, p)
+    sigma0 = d + K
+    r1 = math.sqrt((sigma0 - sigma) ** 2 + 1.0)
+    r2 = r1 + 1.0 / K
+
+    center_val = abs(refined_zeta(group, partition, sigma0, rep, n_basis))
+    if center_val < 1e-12:
+        raise ValueError("refined zeta nearly vanishes at the Jensen center")
+
+    log_ratio = math.log(r2 / r1)
+
+    def circle_mean(n: int) -> float:
+        thetas = np.arange(n) / n
+        vals = []
+        for t in thetas:
+            s = sigma0 + r2 * np.exp(2j * np.pi * t)
+            vals.append(math.log(abs(refined_zeta(group, partition, complex(s), rep, n_basis))))
+        return float(np.mean(vals))
+
+    n = theta_samples
+    val = circle_mean(n)
+    for _ in range(JENSEN_MAX_DOUBLINGS):
+        refined = circle_mean(2 * n)
+        if abs(refined - val) <= bound_tol * log_ratio:
+            val = refined
+            break
+        n *= 2
+        val = refined
+    else:
+        raise RuntimeError("Jensen circle integral did not stabilize")
+
+    bound = (val - math.log(center_val)) / log_ratio
+    return max(bound, 0.0)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from schottky_zeta import cli, zeta
 from schottky_zeta.cli import main
+from schottky_zeta.congruence import _closure_size
 
 
 def run(tmp_path, *args):
@@ -155,3 +157,25 @@ def test_distortion_command(tmp_path):
     payload = read_json(tmp_path, "distortion.json")
     lo, hi = payload["report"]["y_count_band"]
     assert 0 < lo <= hi
+
+
+def test_trace_check_runs_each_closure_once(tmp_path):
+    # the CLI and the trace functions share one cache entry per (group, p)
+    _closure_size.cache_clear()
+    assert run(tmp_path, "trace-check", "--group", "gamma_m:2",
+               "--max-len", "2", "--pmin", "5", "--pmax", "11") == 0
+    assert _closure_size.cache_info().misses == 3
+
+
+def test_delta_command_runs_each_method_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("delta_bisection", "delta_from_zeta"):
+        def counted(*args, _name=name, _real=getattr(zeta, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        for module in (zeta, cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    assert run(tmp_path, "delta", "--group", "gamma_m:2", "--tol", "1e-6") == 0
+    assert sorted(calls) == ["delta_bisection", "delta_from_zeta"]
+    report = read_json(tmp_path, "delta.json")["report"]
+    assert report["delta"] == report["bisection"]
