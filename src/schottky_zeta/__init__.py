@@ -22,7 +22,6 @@ from .transfer import (
     HSPrimeSumRecord,
     HSRecord,
     TransferMatrix,
-    assemble,
     assemble_refined,
     assemble_standard,
     bergman_kernel,

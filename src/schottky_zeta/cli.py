@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .arithmetic import char_sum
+from .arithmetic import char_sum, primes_between
 from .congruence import (
     _closure_size,
     rep_lambda_p,
@@ -124,9 +123,9 @@ def cmd_partition(args, outdir: Path, config: dict) -> dict:
     rows = []
     for name, words in (("Z", part.Z), ("Y", part.Y)):
         for w in words:
-            d = part.data[w]
+            lo, hi = group.interval(w)
             rows.append([
-                name, ".".join(map(str, w)), d.interval[0], d.interval[1], d.length, d.upsilon,
+                name, ".".join(map(str, w)), lo, hi, group.interval_length(w), group.upsilon(w),
             ])
     _write_csv(
         outdir / "partition.csv",
@@ -150,19 +149,20 @@ def cmd_distortion(args, outdir: Path, config: dict) -> dict:
 def cmd_zeta(args, outdir: Path, config: dict) -> dict:
     group = load_group(args.group)
     rep = load_rep(group, args.rep)
-    points = max(args.points, 2)
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
+    part = group.partition(args.tau) if args.refined else None
     rows = []
-    for i in range(points):
-        re = args.re_lo + (args.re_hi - args.re_lo) * i / (points - 1)
+    for i in range(args.points):
+        re = args.re_lo + (args.re_hi - args.re_lo) * i / (args.points - 1)
         s = complex(re, args.im)
-        if args.refined:
-            part = group.partition(args.tau)
+        if part is not None:
             v = refined_zeta(group, part, s, rep, args.n_basis)
         else:
             v = zeta_det(group, s, rep, args.n_basis)
         rows.append([s.real, s.imag, v.real, v.imag, abs(v)])
     _write_csv(outdir / "zeta.csv", ["re_s", "im_s", "det_re", "det_im", "det_abs"], rows)
-    return {"rep": args.rep, "points": points, "refined": bool(args.refined)}
+    return {"rep": args.rep, "points": args.points, "refined": bool(args.refined)}
 
 
 def cmd_zeros(args, outdir: Path, config: dict) -> dict:
@@ -210,9 +210,7 @@ def _trace_check_one(group: SchottkyGroup, p: int, words) -> dict:
 def cmd_trace_check(args, outdir: Path, config: dict) -> dict:
     group = load_group(args.group)
     words = [w for w in group.words_up_to(args.max_len) if w]
-    primes = [p for p in range(args.pmin, args.pmax + 1)
-              if p >= 2 and all(p % q for q in range(2, int(math.isqrt(p)) + 1))]
-    results = [_trace_check_one(group, p, words) for p in primes]
+    results = [_trace_check_one(group, p, words) for p in primes_between(args.pmin - 1, args.pmax)]
     rows = [[r["p"], int(r["surjective"]), r["closure_size"], r["words_checked"], r["mismatches"]]
             for r in results]
     _write_csv(outdir / "trace_check.csv",

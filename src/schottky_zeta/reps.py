@@ -56,8 +56,3 @@ def direct_sum(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:
         images[a] = u
     return UnitaryRep(dim=r1.dim + r2.dim, images=images, label=f"{r1.label}+{r2.label}")
 
-
-def conjugate(rep: UnitaryRep, u: np.ndarray) -> UnitaryRep:
-    """The equivalent representation U rho U^*."""
-    images = {a: u @ g @ u.conj().T for a, g in rep.images.items()}
-    return UnitaryRep(dim=rep.dim, images=images, label=f"conj({rep.label})")

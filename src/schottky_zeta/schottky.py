@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Word = tuple[int, ...]
 
@@ -38,12 +38,8 @@ class Disk:
     center: float
     radius: float
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return abs(z - self.center) < self.radius - margin
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
+    def contains(self, z: complex) -> bool:
+        return abs(z - self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -64,9 +60,6 @@ class Moebius:
     def frobenius_norm(self) -> float:
         return math.sqrt(float(self.a**2 + self.b**2 + self.c**2 + self.d**2))
 
-    def frobenius_norm_squared(self) -> int:
-        return self.a**2 + self.b**2 + self.c**2 + self.d**2
-
     def __matmul__(self, other: "Moebius") -> "Moebius":
         return Moebius(
             self.a * other.a + self.b * other.c,
@@ -78,9 +71,6 @@ class Moebius:
     def inverse(self) -> "Moebius":
         # valid because det = 1
         return Moebius(self.d, -self.b, -self.c, self.a)
-
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def apply(self, z: complex) -> complex:
         """Moebius image; total on the sphere (infinity in, infinity out)."""
@@ -231,18 +221,7 @@ class SchottkyGroup:
                         stack.append(w + (b,))
         Z.sort()
         Y = sorted({w[:-1] for w in Z})
-        meta = {
-            w: WordData(self.interval(w), self.interval_length(w), self.upsilon(w))
-            for w in set(Z) | set(Y)
-        }
-        return Partition(tau=tau, Z=Z, Y=Y, data=meta)
-
-
-@dataclass(frozen=True)
-class WordData:
-    interval: tuple[float, float]
-    length: float
-    upsilon: float
+        return Partition(tau=tau, Z=Z, Y=Y)
 
 
 @dataclass(frozen=True)
@@ -250,7 +229,6 @@ class Partition:
     tau: float
     Z: list[Word]
     Y: list[Word]
-    data: dict[Word, WordData] = field(repr=False)
 
     @property
     def max_depth(self) -> int:
@@ -420,7 +398,6 @@ def distortion_report(
     max_len: int,
     taus: list[float],
     delta_value: float,
-    pair_len: int | None = None,
 ) -> DistortionReport:
     """Empirical min/max of the distortion ratios over a word range."""
     inf0 = (math.inf, -math.inf)
@@ -447,8 +424,7 @@ def distortion_report(
                 n = len(w)
                 max_deriv_by_len[n] = max(max_deriv_by_len.get(n, 0.0), d)
 
-    plen = pair_len if pair_len is not None else min(max_len, 4)
-    short = [w for w in group.words_up_to(plen) if w]
+    short = [w for w in group.words_up_to(min(max_len, 4)) if w]
     for w in short:
         for v in short:
             if w[-1] == group.bar(v[0]):

@@ -69,7 +69,6 @@ class TransferMatrix:
     """
 
     matrix: np.ndarray
-    group: SchottkyGroup
     rep_dim: int
     n_basis: int
 
@@ -135,21 +134,7 @@ def assemble_pairs(
         r0 = (b - 1) * n
         c0 = (w[0] - 1) * n
         matrix[r0 : r0 + n, c0 : c0 + n] += block
-    return TransferMatrix(matrix=matrix, group=group, rep_dim=d, n_basis=n_basis)
-
-
-def assemble(
-    group: SchottkyGroup,
-    words: list[Word],
-    s: complex,
-    rep: UnitaryRep | None = None,
-    n_basis: int = DEFAULT_N,
-) -> TransferMatrix:
-    """Each word acts on every admissible target disk (w -> b)."""
-    pairs = [(w, b) for w in words for b in group.alphabet if not w or w[-1] != group.bar(b)]
-    if any(not w for w in words):
-        raise ValueError("transfer operator words must be nonempty")
-    return assemble_pairs(group, pairs, s, rep, n_basis)
+    return TransferMatrix(matrix=matrix, rep_dim=d, n_basis=n_basis)
 
 
 def assemble_standard(
@@ -158,7 +143,9 @@ def assemble_standard(
     rep: UnitaryRep | None = None,
     n_basis: int = DEFAULT_N,
 ) -> TransferMatrix:
-    return assemble(group, [(a,) for a in group.alphabet], s, rep, n_basis)
+    """The standard operator: each letter acting on every admissible target disk."""
+    pairs = [(w[:-1], w[-1]) for w in group.words_of_length(2)]
+    return assemble_pairs(group, pairs, s, rep, n_basis)
 
 
 def assemble_refined(
@@ -259,11 +246,11 @@ def hs_norm_integral(
         ints = pair_integrals(group, partition, s, q_r, q_a)
         return _trace_pair_sum(rep, (((wa, wb), v) for (_, wa, wb), v in ints.items())), ints
 
-    value, ints = total(DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
-    refined, _ = total(2 * DEFAULT_RADIAL_ORDER, 2 * DEFAULT_ANGULAR_ORDER)
-    if abs(refined - value) > HS_CONVERGENCE_TOL * max(1.0, abs(refined)):
-        raise QuadratureError(f"HS integral not converged: {value} vs {refined} at doubled order")
-    value = refined
+    coarse, _ = total(DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
+    radial_order, angular_order = 2 * DEFAULT_RADIAL_ORDER, 2 * DEFAULT_ANGULAR_ORDER
+    value, ints = total(radial_order, angular_order)
+    if abs(value - coarse) > HS_CONVERGENCE_TOL * max(1.0, abs(value)):
+        raise QuadratureError(f"HS integral not converged: {coarse} vs {value} at doubled order")
     if value < 0:
         raise QuadratureError(f"negative squared HS norm {value}")
     return HSRecord(
@@ -271,8 +258,8 @@ def hs_norm_integral(
         tau=partition.tau,
         s=s,
         rep_label=rep.label,
-        radial_order=DEFAULT_RADIAL_ORDER,
-        angular_order=DEFAULT_ANGULAR_ORDER,
+        radial_order=radial_order,
+        angular_order=angular_order,
         pair_integrals=ints if keep_pairs else None,
     )
 

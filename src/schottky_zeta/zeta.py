@@ -5,8 +5,9 @@ on zero counts of the congruence twists."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,10 +139,11 @@ def refined_zeta(
     rep: UnitaryRep | None = None,
     n_basis: int = DEFAULT_N,
 ) -> complex:
-    """det(1 - L_{tau,s,rho}^2) of the truncated refined transfer operator."""
+    """det(1 - L_{tau,s,rho}^2) of the truncated refined transfer operator,
+    factorised as det(1 - L) det(1 + L)."""
     tm = assemble_refined(group, partition, s, rep, n_basis)
-    m2 = tm.matrix @ tm.matrix
-    return complex(np.linalg.det(np.eye(tm.dim) - m2))
+    eye = np.eye(tm.dim)
+    return complex(np.linalg.det(eye - tm.matrix) * np.linalg.det(eye + tm.matrix))
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
@@ -155,8 +157,12 @@ def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N)
 def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
     """Midpoint of [a, b] after halving it until b - a <= tol, keeping a sign
     change of f inside; fa = f(a)."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            raise ValueError(f"tolerance {tol} is below the float spacing near {mid}")
         fm = f(mid)
         if fa * fm <= 0:
             b = mid
@@ -220,7 +226,6 @@ class ZeroReport:
     n_basis: int
     tol: float
     tau: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def total_count(self) -> int:
         return sum(mult for _, mult in self.zeros)
@@ -236,7 +241,6 @@ class ZeroReport:
             "n_basis": self.n_basis,
             "tol": self.tol,
             "tau": self.tau,
-            **self.metadata,
         }
 
 
@@ -246,7 +250,10 @@ class BoundaryZeroError(RuntimeError):
 
 def _winding_number(f, contour, n: int, max_refinements: int) -> int:
     """Winding number of f around the closed contour sampled at the n points
-    contour(n); n doubles until consecutive phase increments stay below pi/2."""
+    contour(n); n doubles until consecutive phase increments stay below pi/2.
+    Each point is evaluated once: contour(2n) repeats contour(n) bitwise at
+    its even indices."""
+    f = functools.cache(f)
     for _ in range(max_refinements):
         phases = np.angle(np.array([f(complex(z)) for z in contour(n)]))
         inc = np.diff(np.concatenate([phases, phases[:1]]))
@@ -283,15 +290,11 @@ def count_zeros_rect(
                 pts.append(a + t * (b - a))
         return np.array(pts)
 
-    cache: dict[complex, complex] = {}
-
     def f(s: complex) -> complex:
-        if s not in cache:
-            v = zeta_det(group, s, rep, n_basis)
-            if abs(v) < BOUNDARY_FLOOR:
-                raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
-            cache[s] = v
-        return cache[s]
+        v = zeta_det(group, s, rep, n_basis)
+        if abs(v) < BOUNDARY_FLOOR:
+            raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
+        return v
 
     return _winding_number(f, boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
@@ -326,6 +329,8 @@ def real_zeros(
     confirmed and graded by the argument principle on a circle of radius
     5 * tol.
     """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     rep_label = rep.label if rep is not None else "trivial"
     xs = np.linspace(lo, hi, ZEROS_GRID)
     vals = []
@@ -430,13 +435,14 @@ def jensen_bound(
 
     log_ratio = math.log(r2 / r1)
 
+    # the 2n-point circle repeats the n-point one bitwise at its even indices
+    @functools.cache
+    def log_abs(s: complex) -> float:
+        return math.log(abs(refined_zeta(group, partition, s, rep, n_basis)))
+
     def circle_mean(n: int) -> float:
-        thetas = np.arange(n) / n
-        vals = []
-        for t in thetas:
-            s = sigma0 + r2 * np.exp(2j * np.pi * t)
-            vals.append(math.log(abs(refined_zeta(group, partition, complex(s), rep, n_basis))))
-        return float(np.mean(vals))
+        return float(np.mean([log_abs(complex(sigma0 + r2 * np.exp(2j * np.pi * t)))
+                              for t in np.arange(n) / n]))
 
     n = theta_samples
     val = circle_mean(n)

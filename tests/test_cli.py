@@ -79,6 +79,23 @@ def test_zeros_command(tmp_path):
     assert float(lines[1].split(",")[0]) == pytest.approx(0.27488, abs=1e-4)
 
 
+@pytest.mark.parametrize("argv", [
+    ["delta", "--group", "gamma_m:2", "--tol", "0"],
+    ["delta", "--group", "gamma_m:2", "--tol=-1e-8"],
+    ["delta", "--group", "gamma_m:2", "--tol", "1e-300"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "0"],
+    ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "-3"],
+    ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "1"],
+], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
+        "zeta-points-negative", "zeta-points-1"])
+def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error_type"] == "ValueError"
+    assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
 def test_zeta_grid(tmp_path):
     assert run(tmp_path, "zeta", "--group", "gamma_m:2",
                "--re-lo", "0.5", "--re-hi", "1.0", "--points", "5") == 0

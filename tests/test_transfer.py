@@ -7,7 +7,6 @@ from schottky_zeta import hs_norm_integral, hs_norm_matrix
 from schottky_zeta.reps import trivial_rep
 from schottky_zeta.transfer import (
     QuadratureError,
-    assemble,
     assemble_pairs,
     assemble_refined,
     assemble_standard,
@@ -60,7 +59,8 @@ def test_word_set_iteration_identity(g2):
     # summing over all length-2 words reproduces the operator square
     s = 0.7 + 0.3j
     one = assemble_standard(g2, s, n_basis=16).matrix
-    two = assemble(g2, g2.words_of_length(2), s, n_basis=16).matrix
+    pairs = [(w, b) for w in g2.words_of_length(2) for b in g2.alphabet if w[-1] != g2.bar(b)]
+    two = assemble_pairs(g2, pairs, s, n_basis=16).matrix
     assert np.linalg.norm(two - one @ one) < 1e-12 * np.linalg.norm(two)
 
 
@@ -125,3 +125,5 @@ def test_hs_record_metadata(g2, part2_64):
     assert rec.tau == part2_64.tau
     assert rec.rep_label == "trivial"
     assert rec.pair_integrals is not None and len(rec.pair_integrals) > 0
+    # the orders that produced value: twice the defaults of pair_integrals
+    assert (rec.radial_order, rec.angular_order) == (48, 96)

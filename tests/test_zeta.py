@@ -7,13 +7,17 @@ from schottky_zeta import (
     count_zeros_rect,
     delta,
     euler_product,
+    jensen_bound,
     new_eigenvalue_count,
     primitive_classes,
     real_zeros,
     refined_zeta,
+    zeta,
     zeta_det,
 )
+from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
+from schottky_zeta.transfer import assemble_refined
 from schottky_zeta.zeta import (
     ConvergenceError,
     delta_bisection,
@@ -101,6 +105,30 @@ def test_refined_zeta_vanishes_at_zeros(g2, delta2, part2_64):
     assert abs(refined_zeta(g2, part2_64, delta2, n_basis=24)) < 1e-6
     part = g2.partition(2.0**-8)
     assert abs(refined_zeta(g2, part, delta2, n_basis=24)) < 1e-6
+
+
+def test_refined_zeta_matches_squared_operator(g2, part2_64):
+    # oracle: det(1 - M @ M) of the assembled refined matrix
+    rep = rep_lambda_p0(g2, 5)
+    for s in (0.9, 0.8 + 0.5j):
+        m = assemble_refined(g2, part2_64, s, rep, n_basis=8).matrix
+        square = complex(np.linalg.det(np.eye(m.shape[0]) - m @ m))
+        assert refined_zeta(g2, part2_64, s, rep, n_basis=8) == pytest.approx(square, rel=1e-12)
+
+
+def test_jensen_bound_evaluates_each_point_once(g2, delta2, monkeypatch):
+    seen = []
+    real = zeta.refined_zeta
+
+    def counted(group, partition, s, *args):
+        seen.append(s)
+        return real(group, partition, s, *args)
+
+    monkeypatch.setattr(zeta, "refined_zeta", counted)
+    jensen_bound(g2, 5, 0.2, 2.0**-5, K=2.0, n_basis=8, delta_value=delta2,
+                 theta_samples=64, bound_tol=0.5)
+    assert len(seen) == len(set(seen))
+    assert len(seen) == 1 + 128  # the center and the doubled circle, which converged
 
 
 def test_direct_sum_zeta_factorizes(g2):
