@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,12 +12,14 @@ from .schottky import SchottkyGroup, Word
 UNITARITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryRep:
     """A unitary representation specified by one matrix per letter.
 
     The letter images must satisfy image(bar a) = image(a)^* ; the
-    representation extends to words multiplicatively.
+    representation extends to words multiplicatively. Equality and hashing
+    are by identity, so a rep can key the caches of the operators built on it;
+    its images must not change once an operator has been assembled with it.
     """
 
     dim: int
@@ -42,9 +45,15 @@ class UnitaryRep:
                 raise ValueError(f"{self.label}: image of letter {group.bar(a)} is not the adjoint of letter {a}")
 
 
+_TRIVIAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def trivial_rep(group: SchottkyGroup) -> UnitaryRep:
-    one = np.ones((1, 1), dtype=complex)
-    return UnitaryRep(dim=1, images={a: one for a in group.alphabet}, label="trivial")
+    """The trivial rep of group, one object per group while the group lives."""
+    if group not in _TRIVIAL:
+        one = np.ones((1, 1), dtype=complex)
+        _TRIVIAL[group] = UnitaryRep(dim=1, images={a: one for a in group.alphabet}, label="trivial")
+    return _TRIVIAL[group]
 
 
 def direct_sum(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:

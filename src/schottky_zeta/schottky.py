@@ -139,6 +139,8 @@ class SchottkyGroup:
 
     def words_of_length(self, n: int) -> list[Word]:
         """All reduced words of length n, in lexicographic order."""
+        if n < 0:
+            raise ValueError(f"word length must be >= 0, got {n}")
         if n == 0:
             return [EMPTY_WORD]
         words: list[Word] = [(a,) for a in self.alphabet]

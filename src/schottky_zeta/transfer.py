@@ -13,6 +13,7 @@ representation and summed over primes p ~ x for lambda_p^0.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ def bergman_kernel(disk: Disk, z: complex | np.ndarray, w: complex | np.ndarray)
     return r2 / (math.pi * den**2)
 
 
-def _moebius_power(group: SchottkyGroup, w: Word, zs: np.ndarray, s: complex):
-    """Images g_w(z) and g_w'(z)^s (principal branch) at the points zs.
+def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
+    """Images g_w(z) and the principal logarithm of g_w'(z) at the points zs;
+    g_w'(z)^s is exp(s * log).
 
     Requires g_w'(z) off the cut (-inf, 0]; this holds on the Schottky disks
     for admissible words and is enforced at runtime.
@@ -56,8 +58,7 @@ def _moebius_power(group: SchottkyGroup, w: Word, zs: np.ndarray, s: complex):
     deriv = 1.0 / den**2
     if np.any((deriv.imag == 0.0) & (deriv.real <= 0.0)):
         raise ValueError(f"derivative of word {w} on the branch cut")
-    power = np.exp(s * (np.log(np.abs(deriv)) + 1j * np.angle(deriv)))
-    return (float(g.a) * zs + float(g.b)) / den, power
+    return (float(g.a) * zs + float(g.b)) / den, np.log(np.abs(deriv)) + 1j * np.angle(deriv)
 
 
 @dataclass(frozen=True)
@@ -81,28 +82,64 @@ class TransferMatrix:
         return self.matrix[(target - 1) * n : target * n, (source - 1) * n : source * n]
 
 
-def _word_coefficients(
-    group: SchottkyGroup, w: Word, b: int, s: complex, n_basis: int
-) -> np.ndarray:
-    """N x N scalar coefficient matrix of f |-> g_w'(.)^s f(g_w .) from disk
-    D_{w[0]} (source basis) into D_b (target basis)."""
-    n_samp = 4 * n_basis
-    theta = 2.0 * np.pi * np.arange(n_samp) / n_samp
-    target = group.disk(b)
-    source = group.disk(w[0])
-    zs = target.center + SAMPLING_RADIUS * target.radius * np.exp(1j * theta)
-    images, power = _moebius_power(group, w, zs, s)
+class _OperatorPlan:
+    """The s-independent data of the operator summing g_w'(z)^s rho(g_w)^{-1}
+    f(g_w z) over sorted (word, target letter) pairs.
 
-    u = (images - source.center) / source.radius
-    ks = np.arange(n_basis)
-    source_scale = np.sqrt((ks + 1) / np.pi) / source.radius          # basis normalization
-    target_scale = target.radius * np.sqrt(np.pi / (ks + 1))          # inverse normalization
-    radial = SAMPLING_RADIUS ** ks
+    Each pair adds to block (b, w[0]) the N x N coefficients of
+    f |-> g_w'(.)^s f(g_w .) from the basis of D_{w[0]} into that of D_b,
+    Kronecker times rho(g_w)^{-1}. Only the weight exp(s log g_w') at the
+    sampling points depends on s.
+    """
 
-    # columns: operator applied to each source basis element, Taylor-expanded
-    samples = power[:, None] * source_scale[None, :] * u[:, None] ** ks[None, :]
-    coef = np.fft.fft(samples, axis=0)[:n_basis, :] / n_samp
-    return (coef / radial[:, None]) * target_scale[:, None]
+    def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
+                 rep: UnitaryRep, n_basis: int):
+        if n_basis < 1:
+            raise ValueError("n_basis must be >= 1")
+        if n_basis > MAX_N:
+            raise ValueError(f"n_basis {n_basis} exceeds cap {MAX_N}")
+        n_samp = 4 * n_basis
+        circle = np.exp(1j * (2.0 * np.pi * np.arange(n_samp) / n_samp))
+        ks = np.arange(n_basis)
+        norm = np.sqrt((ks + 1) / np.pi)                 # basis normalization times r
+        log_deriv, samples, scale = [], [], []
+        self.rho_inv, self.blocks = [], []
+        for w, b in pairs:
+            if not w:
+                raise ValueError("transfer operator words must be nonempty")
+            if w[-1] == group.bar(b):
+                raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
+            target, source = group.disk(b), group.disk(w[0])
+            zs = target.center + SAMPLING_RADIUS * target.radius * circle
+            images, log_w = _moebius_log(group, w, zs)
+            u = (images - source.center) / source.radius
+            log_deriv.append(log_w)
+            # columns: each source basis element, Taylor-expanded at the samples
+            samples.append(norm / source.radius * u[:, None] ** ks)
+            # inverse target normalization, radial factor and the 1/n of the DFT
+            scale.append(target.radius / norm / SAMPLING_RADIUS**ks / n_samp)
+            self.rho_inv.append(rep.inverse_image(w))
+            self.blocks.append((b - 1, w[0] - 1))
+        self.log_deriv = np.array(log_deriv).reshape(len(pairs), n_samp)
+        self.samples = np.array(samples).reshape(len(pairs), n_samp, n_basis)
+        self.scale = np.array(scale).reshape(len(pairs), n_basis, 1)
+        self.layout = (2 * group.m, n_basis, rep.dim)  # (letter, k, v) of a row or a column
+
+    def matrix(self, s: complex) -> np.ndarray:
+        """A new matrix of the operator at s, laid out as in TransferMatrix."""
+        n_basis = self.layout[1]
+        power = np.exp(s * self.log_deriv)
+        coef = np.fft.fft(power[:, :, None] * self.samples, axis=1)[:, :n_basis] * self.scale
+        out = np.zeros(self.layout * 2, dtype=complex)
+        for (b, a), c, rho in zip(self.blocks, coef, self.rho_inv):
+            out[b, :, :, a] += c[:, None, :, None] * rho[None, :, None, :]
+        dim = math.prod(self.layout)
+        return out.reshape(dim, dim)
+
+
+# rep -> group -> (sorted pairs, n_basis) -> plan; an entry lives as long as
+# its rep and its group.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def assemble_pairs(
@@ -113,28 +150,17 @@ def assemble_pairs(
     n_basis: int = DEFAULT_N,
 ) -> TransferMatrix:
     """Matrix of the operator summing g_w'(z)^s rho(g_w)^{-1} f(g_w z) over
-    the given (word, target letter) pairs, acting on z in the target disk."""
-    if n_basis < 1:
-        raise ValueError("n_basis must be >= 1")
-    if n_basis > MAX_N:
-        raise ValueError(f"n_basis {n_basis} exceeds cap {MAX_N}")
+    the given (word, target letter) pairs, acting on z in the target disk.
+
+    The s-independent data is built on the first call for (group, pairs,
+    rep, n_basis) and kept while rep and group live; each call returns a new
+    matrix."""
     rep = rep if rep is not None else trivial_rep(group)
-    d = rep.dim
-    n = n_basis * d
-    dim = 2 * group.m * n
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for w, b in sorted(pairs):
-        if not w:
-            raise ValueError("transfer operator words must be nonempty")
-        if w[-1] == group.bar(b):
-            raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
-        rho_inv = rep.inverse_image(w)
-        coef = _word_coefficients(group, w, b, s, n_basis)
-        block = np.kron(coef, rho_inv)
-        r0 = (b - 1) * n
-        c0 = (w[0] - 1) * n
-        matrix[r0 : r0 + n, c0 : c0 + n] += block
-    return TransferMatrix(matrix=matrix, rep_dim=d, n_basis=n_basis)
+    plans = _PLANS.setdefault(rep, weakref.WeakKeyDictionary()).setdefault(group, {})
+    key = (tuple(sorted(pairs)), n_basis)
+    if key not in plans:
+        plans[key] = _OperatorPlan(group, key[0], rep, n_basis)
+    return TransferMatrix(matrix=plans[key].matrix(s), rep_dim=rep.dim, n_basis=n_basis)
 
 
 def assemble_standard(
@@ -204,7 +230,10 @@ def pair_integrals(
         warr = (wr[:, None] * np.full((1, angular_order), wphi)).ravel()
 
         arrows = sorted(w for w, t in partition.pairs if t == b)
-        cache = {w: _moebius_power(group, w, zflat, s) for w in arrows}
+        cache = {}
+        for w in arrows:
+            images, log_w = _moebius_log(group, w, zflat)
+            cache[w] = images, np.exp(s * log_w)
         for wa in arrows:
             ia, pa = cache[wa]
             for wb in arrows:

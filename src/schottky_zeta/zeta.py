@@ -128,8 +128,10 @@ def zeta_det(
     n_basis: int = DEFAULT_N,
 ) -> complex:
     """det(1 - L_{s,rho}) of the truncated standard transfer operator."""
-    tm = assemble_standard(group, s, rep, n_basis)
-    return complex(np.linalg.det(np.eye(tm.dim) - tm.matrix))
+    m = assemble_standard(group, s, rep, n_basis).matrix
+    np.negative(m, out=m)
+    np.fill_diagonal(m, 1.0 + m.diagonal())
+    return complex(np.linalg.det(m))
 
 
 def refined_zeta(
@@ -140,10 +142,14 @@ def refined_zeta(
     n_basis: int = DEFAULT_N,
 ) -> complex:
     """det(1 - L_{tau,s,rho}^2) of the truncated refined transfer operator,
-    factorised as det(1 - L) det(1 + L)."""
-    tm = assemble_refined(group, partition, s, rep, n_basis)
-    eye = np.eye(tm.dim)
-    return complex(np.linalg.det(eye - tm.matrix) * np.linalg.det(eye + tm.matrix))
+    factorised as det(1 - L) det(1 + L); both are formed in the matrix of L."""
+    m = assemble_refined(group, partition, s, rep, n_basis).matrix
+    diag = m.diagonal().copy()
+    np.fill_diagonal(m, 1.0 + diag)
+    plus = np.linalg.det(m)
+    np.negative(m, out=m)
+    np.fill_diagonal(m, 1.0 - diag)
+    return complex(np.linalg.det(m) * plus)
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
@@ -420,6 +426,8 @@ def jensen_bound(
     sampling is doubled until the implied bound moves by less than bound_tol
     (measured in zeros, not in relative terms).
     """
+    if theta_samples < 1:
+        raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
     d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")

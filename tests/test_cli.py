@@ -86,8 +86,14 @@ def test_zeros_command(tmp_path):
     ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "0"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "-3"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "1"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--theta-samples", "0"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--theta-samples", "-4"],
+    ["words", "--group", "gamma_m:2", "--length", "-1"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
-        "zeta-points-negative", "zeta-points-1"])
+        "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
+        "jensen-theta-samples-negative", "words-length-negative"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)

@@ -57,6 +57,11 @@ def test_word_counts(g2):
     assert not g2.is_reduced((1, 3))
 
 
+def test_negative_word_length_rejected(g2):
+    with pytest.raises(ValueError):
+        g2.words_of_length(-1)
+
+
 def test_interval_single_letter(g2):
     lo, hi = g2.interval((1,))
     assert (lo, hi) == (3.0, 5.0)

@@ -1,11 +1,16 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from schottky_zeta import hs_norm_integral, hs_norm_matrix
-from schottky_zeta.reps import trivial_rep
+from schottky_zeta import gamma_m, hs_norm_integral, hs_norm_matrix, zeta_det
+from schottky_zeta.congruence import rep_lambda_p0
+from schottky_zeta.reps import UnitaryRep, trivial_rep
+from schottky_zeta.schottky import SchottkyGroup
 from schottky_zeta.transfer import (
+    SAMPLING_RADIUS,
     QuadratureError,
     assemble_pairs,
     assemble_refined,
@@ -127,3 +132,81 @@ def test_hs_record_metadata(g2, part2_64):
     assert rec.pair_integrals is not None and len(rec.pair_integrals) > 0
     # the orders that produced value: twice the defaults of pair_integrals
     assert (rec.radial_order, rec.angular_order) == (48, 96)
+
+
+def _per_pair_matrix(group, pairs, s, rep, n_basis):
+    """Oracle: each pair's N x N Fourier coefficients, then np.kron with
+    rho(g_w)^{-1} added into its block."""
+    n = n_basis * rep.dim
+    out = np.zeros((2 * group.m * n,) * 2, dtype=complex)
+    n_samp = 4 * n_basis
+    theta = 2.0 * np.pi * np.arange(n_samp) / n_samp
+    ks = np.arange(n_basis)
+    for w, b in sorted(pairs):
+        target, source = group.disk(b), group.disk(w[0])
+        zs = target.center + SAMPLING_RADIUS * target.radius * np.exp(1j * theta)
+        g = group.word_matrix(w)
+        den = float(g.c) * zs + float(g.d)
+        u = ((float(g.a) * zs + float(g.b)) / den - source.center) / source.radius
+        power = (1.0 / den**2) ** s                          # principal branch
+        samples = power[:, None] * np.sqrt((ks + 1) / np.pi) / source.radius * u[:, None] ** ks
+        coef = np.fft.fft(samples, axis=0)[:n_basis] / n_samp
+        coef *= (target.radius * np.sqrt(np.pi / (ks + 1)) / SAMPLING_RADIUS**ks)[:, None]
+        out[(b - 1) * n : b * n, (w[0] - 1) * n : w[0] * n] += np.kron(coef, rep.inverse_image(w))
+    return out
+
+
+@pytest.mark.parametrize("s", [0.9, 0.7 + 0.3j])
+@pytest.mark.parametrize("rep_name", ["trivial", "lambda_5^0"])
+@pytest.mark.parametrize("operator", ["standard", "refined"])
+def test_assemble_pairs_matches_per_pair_kron(g2, part2_64, s, rep_name, operator):
+    rep = trivial_rep(g2) if rep_name == "trivial" else rep_lambda_p0(g2, 5)
+    if operator == "standard":
+        pairs = [(w[:-1], w[-1]) for w in g2.words_of_length(2)]
+    else:
+        pairs = part2_64.pairs
+    got = assemble_pairs(g2, pairs, s, rep, n_basis=8).matrix
+    want = _per_pair_matrix(g2, pairs, s, rep, 8)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_operator_data_is_built_once_per_rep(g2, monkeypatch):
+    calls = {"inverse_image": 0, "word_matrix": 0}
+
+    def count(cls, name):
+        real = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(UnitaryRep, "inverse_image")
+    count(SchottkyGroup, "word_matrix")
+    rep = rep_lambda_p0(g2, 5)
+    first = zeta_det(g2, 0.9, rep, n_basis=8)
+    assert calls == {"inverse_image": 12, "word_matrix": 12}
+    zeta_det(g2, 0.6 + 0.4j, rep, n_basis=8)
+    assert zeta_det(g2, 0.9, rep, n_basis=8) == first
+    assert calls == {"inverse_image": 12, "word_matrix": 12}
+
+
+def test_assemble_pairs_returns_a_new_matrix(g2, part2_64):
+    one = assemble_pairs(g2, part2_64.pairs, 0.8, n_basis=6).matrix
+    two = assemble_pairs(g2, part2_64.pairs, 0.8, n_basis=6).matrix
+    kept = two.copy()
+    one[:] = 7.0
+    assert np.array_equal(two, kept)
+    assert np.array_equal(assemble_pairs(g2, part2_64.pairs, 0.8, n_basis=6).matrix, kept)
+
+
+def test_operator_data_does_not_outlive_its_rep_or_group(g2):
+    rep = rep_lambda_p0(g2, 5)
+    zeta_det(g2, 0.9, rep, n_basis=8)
+    group = gamma_m(2)
+    zeta_det(group, 0.9, n_basis=8)  # through the trivial rep memoised for group
+    refs = [weakref.ref(rep), weakref.ref(group)]
+    del rep, group
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -131,6 +131,17 @@ def test_jensen_bound_evaluates_each_point_once(g2, delta2, monkeypatch):
     assert len(seen) == 1 + 128  # the center and the doubled circle, which converged
 
 
+def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no determinant may be evaluated")
+
+    monkeypatch.setattr(zeta, "refined_zeta", unexpected)
+    monkeypatch.setattr(zeta, "delta", unexpected)
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            jensen_bound(g2, 5, 0.2, 2.0**-6, theta_samples=n)
+
+
 def test_direct_sum_zeta_factorizes(g2):
     rep = trivial_rep(g2)
     both = direct_sum(rep, rep)
