@@ -8,6 +8,7 @@ Moebius map or a derivative is evaluated at an analytic point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,6 +194,12 @@ class SchottkyGroup:
         return abs(d)
 
     # -- partitions ----------------------------------------------------------
+
+    @functools.cached_property
+    def standard_pairs(self) -> tuple[tuple[Word, int], ...]:
+        """Sorted (one-letter word, target letter) pairs of the standard
+        transfer operator: each letter acting on every admissible target disk."""
+        return tuple(sorted((w[:-1], w[-1]) for w in self.words_of_length(2)))
 
     def partition(self, tau: float) -> "Partition":
         """The partition Z(tau) = {w : |I_w| <= tau < |I_w'|}.

@@ -170,8 +170,7 @@ def assemble_standard(
     n_basis: int = DEFAULT_N,
 ) -> TransferMatrix:
     """The standard operator: each letter acting on every admissible target disk."""
-    pairs = [(w[:-1], w[-1]) for w in group.words_of_length(2)]
-    return assemble_pairs(group, pairs, s, rep, n_basis)
+    return assemble_pairs(group, group.standard_pairs, s, rep, n_basis)
 
 
 def assemble_refined(

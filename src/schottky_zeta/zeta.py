@@ -337,6 +337,8 @@ def real_zeros(
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     rep_label = rep.label if rep is not None else "trivial"
     xs = np.linspace(lo, hi, ZEROS_GRID)
     vals = []
@@ -428,6 +430,10 @@ def jensen_bound(
     """
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
+    if not K > 0:
+        raise ValueError(f"K must be positive, got {K}")
+    if not bound_tol > 0:
+        raise ValueError(f"bound_tol must be positive, got {bound_tol}")
     d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")
@@ -443,14 +449,19 @@ def jensen_bound(
 
     log_ratio = math.log(r2 / r1)
 
-    # the 2n-point circle repeats the n-point one bitwise at its even indices
     @functools.cache
     def log_abs(s: complex) -> float:
         return math.log(abs(refined_zeta(group, partition, s, rep, n_basis)))
 
+    # Gamma lies in SL2(Z), every disk is centred on R and lambda_p^0 has real
+    # images, so L at conj(s) is the conjugate of L at s and |zeta_tau| agrees
+    # at conjugate points: point n - k of the n-point circle mirrors point k,
+    # and only the closed upper half k <= n/2 is evaluated. The 2n-point half
+    # circle repeats the n-point one bitwise at its even indices.
     def circle_mean(n: int) -> float:
-        return float(np.mean([log_abs(complex(sigma0 + r2 * np.exp(2j * np.pi * t)))
-                              for t in np.arange(n) / n]))
+        half = [log_abs(complex(sigma0 + r2 * np.exp(2j * np.pi * t)))
+                for t in np.arange(n // 2 + 1) / n]
+        return float(np.mean([half[min(k, n - k)] for k in range(n)]))
 
     n = theta_samples
     val = circle_mean(n)

@@ -84,16 +84,28 @@ def test_zeros_command(tmp_path):
     ["delta", "--group", "gamma_m:2", "--tol=-1e-8"],
     ["delta", "--group", "gamma_m:2", "--tol", "1e-300"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "0"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.4", "--hi", "0.1"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.3", "--hi", "0.3"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "-3"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "1"],
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--theta-samples", "0"],
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--theta-samples", "-4"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--K", "0"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--K", "-1"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--bound-tol", "0"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--bound-tol", "-1"],
     ["words", "--group", "gamma_m:2", "--length", "-1"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
+        "zeros-lo-above-hi", "zeros-lo-equals-hi",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
-        "jensen-theta-samples-negative", "words-length-negative"])
+        "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative",
+        "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)

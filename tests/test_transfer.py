@@ -210,3 +210,40 @@ def test_operator_data_does_not_outlive_its_rep_or_group(g2):
     del rep, group
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("rep_name", ["trivial", "lambda_5^0"])
+@pytest.mark.parametrize("operator", ["standard", "refined"])
+def test_operator_at_conjugate_s_is_the_conjugate(g2, part2_64, rep_name, operator):
+    # the symmetry the Jensen circle mirror relies on: real group, disks and rep
+    rep = trivial_rep(g2) if rep_name == "trivial" else rep_lambda_p0(g2, 5)
+    pairs = g2.standard_pairs if operator == "standard" else part2_64.pairs
+    s = 0.8 + 0.5j
+    at_s = assemble_pairs(g2, pairs, s, rep, n_basis=8).matrix
+    at_conj = assemble_pairs(g2, pairs, s.conjugate(), rep, n_basis=8).matrix
+    assert np.max(np.abs(at_conj - at_s.conj())) <= 1e-13 * np.max(np.abs(at_s))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_lambda_p0_images_are_real(g2, p):
+    rep = rep_lambda_p0(g2, p)
+    for a in g2.alphabet:
+        assert np.all(rep.images[a].imag == 0.0)
+
+
+def test_standard_pairs_are_enumerated_once(monkeypatch):
+    group = gamma_m(2)
+    calls = []
+    real = SchottkyGroup.words_of_length
+
+    def counted(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(SchottkyGroup, "words_of_length", counted)
+    pairs = group.standard_pairs
+    assert pairs == tuple(sorted((w[:-1], w[-1]) for w in real(group, 2)))
+    assemble_standard(group, 0.9, n_basis=4)
+    assemble_standard(group, 0.7 + 0.2j, n_basis=4)
+    assert group.standard_pairs is pairs
+    assert calls == [2]

@@ -128,7 +128,40 @@ def test_jensen_bound_evaluates_each_point_once(g2, delta2, monkeypatch):
     jensen_bound(g2, 5, 0.2, 2.0**-5, K=2.0, n_basis=8, delta_value=delta2,
                  theta_samples=64, bound_tol=0.5)
     assert len(seen) == len(set(seen))
-    assert len(seen) == 1 + 128  # the center and the doubled circle, which converged
+    # the center and the closed upper half of the doubled circle, which converged
+    assert len(seen) == 1 + 65
+    assert all(s.imag >= 0 for s in seen)
+
+
+@pytest.mark.parametrize("theta_samples", [64, 7])
+def test_jensen_bound_matches_the_full_circle(g2, delta2, theta_samples):
+    # oracle: every point of the circle evaluated, the same doubling rule
+    tau, K, bound_tol = 2.0**-5, 2.0, 1.0  # theta_samples 7 doubles three times
+    partition = g2.partition(tau)
+    rep = rep_lambda_p0(g2, 5)
+    sigma0 = delta2 + K
+    r1 = math.sqrt((sigma0 - 0.2) ** 2 + 1.0)
+    r2 = r1 + 1.0 / K
+    log_ratio = math.log(r2 / r1)
+
+    def circle_mean(n):
+        points = sigma0 + r2 * np.exp(2j * np.pi * np.arange(n) / n)
+        return np.mean([math.log(abs(refined_zeta(g2, partition, s, rep, 8))) for s in points])
+
+    n = theta_samples
+    val = circle_mean(n)
+    for _ in range(3):
+        refined = circle_mean(2 * n)
+        if abs(refined - val) <= bound_tol * log_ratio:
+            break
+        n, val = 2 * n, refined
+    else:
+        pytest.fail("the full circle did not converge")
+    want = (refined - math.log(abs(refined_zeta(g2, partition, sigma0, rep, 8)))) / log_ratio
+    got = jensen_bound(g2, 5, 0.2, tau, K=K, n_basis=8, delta_value=delta2,
+                       theta_samples=theta_samples, bound_tol=bound_tol)
+    assert want > 0
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatch):
@@ -140,6 +173,22 @@ def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatc
     for n in (0, -4):
         with pytest.raises(ValueError):
             jensen_bound(g2, 5, 0.2, 2.0**-6, theta_samples=n)
+    for K in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            jensen_bound(g2, 5, 0.2, 2.0**-6, K=K)
+    for bound_tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            jensen_bound(g2, 5, 0.2, 2.0**-6, bound_tol=bound_tol)
+
+
+def test_real_zeros_rejects_an_empty_range_before_any_determinant(g2, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no determinant may be evaluated")
+
+    monkeypatch.setattr(zeta, "zeta_det", unexpected)
+    for lo, hi in ((0.4, 0.1), (0.3, 0.3), (math.nan, 0.4)):
+        with pytest.raises(ValueError):
+            real_zeros(g2, None, lo, hi)
 
 
 def test_direct_sum_zeta_factorizes(g2):
