@@ -287,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; every command runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        return p
+    add = sub.add_parser
 
     p = add("validate")
     p.add_argument("--group", required=True)

@@ -137,12 +137,8 @@ def _helmert_basis(n: int) -> np.ndarray:
 
 
 def _perm_matrix(perm: tuple[int, ...]) -> np.ndarray:
-    """Matrix of f -> f(. g) in the delta basis: columns are permuted.
-
-    With coset_perm(g)[i] = index of point_i * g, the operator sends
-    delta_y to delta_{y g^{-1}}, so M[perm[i], i]... transposed action:
-    M[i, perm[i]] = 1 gives (M f)_i = f_{perm(i)} = f(x_i g).
-    """
+    """Matrix of f -> f(. g) in the delta basis: with coset_perm(g)[i] the
+    index of x_i g, M[i, perm[i]] = 1 gives (M f)_i = f(x_i g)."""
     n = len(perm)
     mat = np.zeros((n, n))
     for i, j in enumerate(perm):

@@ -17,8 +17,10 @@ from .schottky import Partition, SchottkyGroup, Word
 from .transfer import DEFAULT_N, assemble_refined, assemble_standard
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
-DELTA_GRID = 64                    # sign-scan points of the determinant for delta
-ZEROS_GRID = 200                   # sign-scan points of real_zeros
+CHEB_START_N = 16                  # first Chebyshev proxy degree of a real-axis root search
+CHEB_MAX_N = 256                   # largest proxy degree before ConvergenceError
+CHEB_TAIL_TOL = 1e-13              # converged once the tail coefficients fall below this, relative
+CHEB_DIP = 100.0                   # a |proxy| dip below this many tail bounds may hide a zero
 IM_REL_TOL = 1e-8                  # allowed imaginary part of the determinant at real s
 RECT_SAMPLES_PER_EDGE = 16
 RECT_MAX_REFINEMENTS = 6
@@ -53,25 +55,14 @@ class PrimitiveClass:
     length: float
 
 
-def _cyclic_words(group: SchottkyGroup, n: int):
-    for w in group.words_of_length(n):
-        if n > 1 and w[-1] == group.bar(w[0]):
-            continue
-        if n == 1 or all(w <= w[i:] + w[:i] for i in range(1, n)):
-            yield w
-
-
-def _is_primitive(w: Word) -> bool:
-    n = len(w)
-    return all(not (n % d == 0 and w == w[:d] * (n // d)) for d in range(1, n))
-
-
 def primitive_classes(group: SchottkyGroup, len_max: int) -> list[PrimitiveClass]:
-    """One representative per primitive class, word length <= len_max."""
+    """One representative per primitive class, word length <= len_max: the
+    cyclically reduced words below each of their nontrivial rotations (a power
+    equals one of its rotations, so these are primitive)."""
     out = []
     for n in range(1, len_max + 1):
-        for w in _cyclic_words(group, n):
-            if not _is_primitive(w):
+        for w in group.words_of_length(n):
+            if (n > 1 and w[-1] == group.bar(w[0])) or any(w >= w[i:] + w[:i] for i in range(1, n)):
                 continue
             tr = abs(group.word_matrix(w).trace())
             if tr <= 2:
@@ -94,8 +85,8 @@ def euler_product(
     """
     rep = rep if rep is not None else trivial_rep(group)
     sigma = s.real
-    classes = primitive_classes(group, max(len_max, 1)) if len_max >= 1 else []
-    if len_max >= 1:
+    classes = primitive_classes(group, len_max)
+    if classes:
         ell_min = min(c.length for c in classes if len(c.word) == 1)
         q = (2 * group.m - 1) * math.exp(-sigma * ell_min)
         if q >= 1 or 2 * group.m * q ** (len_max + 1) / (1 - q) > tail_tol:
@@ -105,8 +96,6 @@ def euler_product(
     total = 1.0 + 0.0j
     eye = np.eye(rep.dim, dtype=complex)
     for cls in classes:
-        if len(cls.word) > len_max:
-            continue
         rho = rep.image(cls.word)
         k = 0
         while True:
@@ -177,6 +166,76 @@ def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _chebyshev_roots(f, lo: float, hi: float, tol: float):
+    """Real roots of f on [lo, hi] from one Chebyshev proxy p (Boyd, SIAM J.
+    Numer. Anal. 40, 2002; Trefethen, Approximation Theory and Approximation
+    Practice, 2013). p interpolates f at the n + 1 second-kind Chebyshev points
+    (one FFT of the even extension); n doubles from CHEB_START_N, reusing every
+    node, until the last n/8 coefficients are below CHEB_TAIL_TOL of the
+    largest; their size bounds |f - p|. Real roots of p (colleague matrix), and ends
+    where |p| is within CHEB_DIP bounds of zero, that f brackets at
+    r +- max(tol / 4, bound / |p'(r)|) are bisected to width tol. A near-real
+    conjugate pair (an even-order zero) dips |p| to within CHEB_DIP bounds at a
+    root of p'; those dips and the unbracketed roots are even candidates.
+    Elsewhere |p| > CHEB_DIP bounds: f has no zero.
+
+    Returns (roots, n + 1, tail), roots the sorted (s, sign_change) pairs, one
+    per cluster narrower than the proxy's resolution of an even-order zero."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    f = functools.cache(f)
+    cheb = np.polynomial.chebyshev
+
+    def at(x: float) -> float:
+        return ((1 - x) * lo + (1 + x) * hi) / 2
+
+    n = CHEB_START_N
+    while True:
+        v = np.array([f(at(math.sin(math.pi * (n - 2 * k) / (2 * n)))) for k in range(n + 1)])
+        c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
+        c[[0, n]] /= 2
+        scale = np.max(np.abs(c))
+        tail = float(np.max(np.abs(c[-max(2, n // 8):])) / scale) if scale else math.inf
+        if tail < CHEB_TAIL_TOL:
+            break
+        n *= 2
+        if n > CHEB_MAX_N:
+            raise ConvergenceError(f"Chebyshev tail {tail:.1e} at {n // 2 + 1} nodes")
+    bound = scale * max(tail, n * np.finfo(float).eps)  # the DCT's own rounding at least
+    c = cheb.chebtrim(c, bound)
+    dc = cheb.chebder(c)
+    near = CHEB_DIP * bound
+    real, crit = ([x.real for x in map(complex, cheb.chebroots(q)) if x.imag == 0] for q in (c, dc))
+    cands = [(at(x), 1) for x in crit if abs(x) <= 1 and abs(cheb.chebval(x, c)) <= near]
+    for x in real + [end for end in (-1.0, 1.0) if abs(cheb.chebval(end, c)) <= near]:
+        err = bound / max(abs(cheb.chebval(x, dc)), bound)
+        if abs(x) > 1 + err:
+            continue
+        s, h = at(x), max(tol / 4, err * (hi - lo) / 2)
+        a, b = max(lo, s - h), min(hi, s + h)
+        if not a < b:
+            raise ValueError(f"tolerance {tol} is below the float spacing near {s}")
+        fa = f(a)
+        odd = fa * f(b) <= 0
+        # rank 0: a bracketed sign change, 1: a dip, 2: an unbracketed root
+        cands.append((_bisect_sign_change(f, a, b, fa, tol), 0) if odd
+                     else (min(max(s, lo), hi), 2))
+    res = max(tol, (hi - lo) * math.sqrt(CHEB_DIP * bound / scale))
+    roots: list[tuple[float, bool]] = []
+    for s, rank in sorted(cands, key=lambda cand: (cand[1], cand[0])):
+        if all(abs(s - t) >= (res if rank else tol) for t, _ in roots):
+            roots.append((float(s), rank == 0))
+    return sorted(roots), n + 1, tail
+
+
+def _real_det(group: SchottkyGroup, rep: UnitaryRep | None, n_basis: int, s: float) -> float:
+    """det(1 - L_{s,rho}) at real s, which must be numerically real."""
+    v = zeta_det(group, s, rep, n_basis)
+    if abs(v.imag) > IM_REL_TOL * (1.0 + abs(v)):
+        raise SymmetryError(f"determinant not numerically real at s={s}: {v}")
+    return v.real
+
+
 def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
     """Dimension of the limit set: the s with leading eigenvalue of L_s = 1."""
     lo, hi = DELTA_BRACKET
@@ -191,18 +250,14 @@ def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFA
 
 
 def delta_from_zeta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
-    """Largest real zero of det(1 - L_s), by sign scan plus bisection."""
-    xs = np.linspace(DELTA_BRACKET[0], DELTA_BRACKET[1], DELTA_GRID)
-    vals = [zeta_det(group, float(x), None, n_basis).real for x in xs]
-    for i in range(DELTA_GRID - 2, -1, -1):
-        if vals[i] == 0.0:
-            return float(xs[i])
-        if vals[i] * vals[i + 1] < 0:
-            return _bisect_sign_change(
-                lambda x: zeta_det(group, x, None, n_basis).real,
-                float(xs[i]), float(xs[i + 1]), vals[i], tol,
-            )
-    raise ConvergenceError("no real determinant zero found in the bracket")
+    """Largest real zero of det(1 - L_s) in DELTA_BRACKET: the largest sign
+    change that `_chebyshev_roots` brackets and bisects to width tol."""
+    real_det = functools.partial(_real_det, group, None, n_basis)
+    roots = _chebyshev_roots(real_det, *DELTA_BRACKET, tol)[0]
+    odd = [x for x, sign_change in roots if sign_change]
+    if not odd:
+        raise ConvergenceError("no real determinant zero found in the bracket")
+    return max(odd)
 
 
 def delta_methods(
@@ -231,7 +286,8 @@ class ZeroReport:
     zeros: list[tuple[complex, int]]
     n_basis: int
     tol: float
-    tau: float | None = None
+    proxy_nodes: int
+    proxy_tail: float
 
     def total_count(self) -> int:
         return sum(mult for _, mult in self.zeros)
@@ -246,7 +302,8 @@ class ZeroReport:
             ],
             "n_basis": self.n_basis,
             "tol": self.tol,
-            "tau": self.tau,
+            "proxy_nodes": self.proxy_nodes,
+            "proxy_tail": self.proxy_tail,
         }
 
 
@@ -288,13 +345,9 @@ def count_zeros_rect(
     z0, z1 = rect
     corners = [z0, complex(z1.real, z0.imag), z1, complex(z0.real, z1.imag)]
 
-    def boundary(n_per_edge: int) -> np.ndarray:
-        pts = []
-        for i in range(4):
-            a, b = corners[i], corners[(i + 1) % 4]
-            for t in np.arange(n_per_edge) / n_per_edge:
-                pts.append(a + t * (b - a))
-        return np.array(pts)
+    def boundary(n_per_edge: int) -> list[complex]:
+        ts = np.arange(n_per_edge) / n_per_edge
+        return [a + t * (b - a) for a, b in zip(corners, corners[1:] + corners[:1]) for t in ts]
 
     def f(s: complex) -> complex:
         v = zeta_det(group, s, rep, n_basis)
@@ -305,19 +358,12 @@ def count_zeros_rect(
     return _winding_number(f, boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
 
-def _multiplicity_circle(
-    group: SchottkyGroup,
-    rep: UnitaryRep | None,
-    center: complex,
-    radius: float,
-    n_basis: int,
-) -> int:
+def _multiplicity_circle(det, center: complex, radius: float) -> int:
+    """Zeros of det inside the circle |s - center| = radius, with multiplicity."""
     def circle(n: int) -> list[complex]:
         return [center + radius * np.exp(1j * t) for t in 2 * np.pi * np.arange(n) / n]
 
-    return _winding_number(
-        lambda s: zeta_det(group, s, rep, n_basis), circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS
-    )
+    return _winding_number(det, circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
 
 
 def real_zeros(
@@ -330,63 +376,26 @@ def real_zeros(
 ) -> ZeroReport:
     """All real zeros of det(1 - L_{s,rho}) in [lo, hi] with multiplicity.
 
-    Sign changes are bisected; sign-preserving dips (even multiplicity) are
-    picked up by minimizing |det| at interior local minima. Each candidate is
-    confirmed and graded by the argument principle on a circle of radius
-    5 * tol.
+    The candidates come from one Chebyshev proxy of the determinant on
+    [lo, hi] (`_chebyshev_roots`): sign changes bisected to tol / 4, and
+    even-order dips of the proxy. Each candidate is confirmed and graded by
+    the argument principle on a circle of radius 5 * tol. The report carries
+    the proxy's node count and final tail as its convergence evidence.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-    rep_label = rep.label if rep is not None else "trivial"
-    xs = np.linspace(lo, hi, ZEROS_GRID)
-    vals = []
-    for x in xs:
-        v = zeta_det(group, float(x), rep, n_basis)
-        if abs(v.imag) > IM_REL_TOL * (1.0 + abs(v)):
-            raise SymmetryError(f"determinant not numerically real at s={x}: {v}")
-        vals.append(v.real)
-    vals = np.array(vals)
-
-    candidates: list[float] = []
-    for i in range(ZEROS_GRID - 1):
-        if vals[i] == 0.0:
-            candidates.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            candidates.append(_bisect_sign_change(
-                lambda x: zeta_det(group, x, rep, n_basis).real,
-                float(xs[i]), float(xs[i + 1]), vals[i], tol / 4,
-            ))
-
-    # interior local minima of |det| without a sign change: even-order zeros
-    absvals = np.abs(vals)
-    for i in range(1, ZEROS_GRID - 1):
-        if absvals[i] < absvals[i - 1] and absvals[i] < absvals[i + 1] and vals[i - 1] * vals[i + 1] > 0:
-            a, b = float(xs[i - 1]), float(xs[i + 1])
-            for _ in range(60):
-                if b - a < tol / 4:
-                    break
-                m1 = a + (b - a) / 3
-                m2 = b - (b - a) / 3
-                if abs(zeta_det(group, m1, rep, n_basis)) < abs(zeta_det(group, m2, rep, n_basis)):
-                    b = m2
-                else:
-                    a = m1
-            x_min = 0.5 * (a + b)
-            if abs(zeta_det(group, x_min, rep, n_basis)) < math.sqrt(tol):
-                candidates.append(x_min)
-
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+    real_det = functools.partial(_real_det, group, rep, n_basis)
+    roots, nodes, tail = _chebyshev_roots(real_det, lo, hi, tol / 4)
+    det = functools.partial(zeta_det, group, rep=rep, n_basis=n_basis)
     zeros: list[tuple[complex, int]] = []
-    for x in sorted(candidates):
+    for x, _ in roots:
         if zeros and abs(x - zeros[-1][0].real) < 5 * tol:
             continue
-        mult = _multiplicity_circle(group, rep, complex(x), 5 * tol, n_basis)
+        mult = _multiplicity_circle(det, complex(x), 5 * tol)
         if mult >= 1:
             zeros.append((complex(x), mult))
-    return ZeroReport(
-        rep_label=rep_label, region=(lo, hi), zeros=zeros, n_basis=n_basis, tol=tol
-    )
+    return ZeroReport(rep_label=rep.label if rep is not None else "trivial", region=(lo, hi),
+                      zeros=zeros, n_basis=n_basis, tol=tol, proxy_nodes=nodes, proxy_tail=tail)
 
 
 def new_eigenvalue_count(
@@ -463,15 +472,11 @@ def jensen_bound(
                 for t in np.arange(n // 2 + 1) / n]
         return float(np.mean([half[min(k, n - k)] for k in range(n)]))
 
-    n = theta_samples
-    val = circle_mean(n)
+    n, val = theta_samples, circle_mean(theta_samples)
     for _ in range(JENSEN_MAX_DOUBLINGS):
-        refined = circle_mean(2 * n)
-        if abs(refined - val) <= bound_tol * log_ratio:
-            val = refined
+        n, coarse, val = 2 * n, val, circle_mean(2 * n)
+        if abs(val - coarse) <= bound_tol * log_ratio:
             break
-        n *= 2
-        val = refined
     else:
         raise RuntimeError("Jensen circle integral did not stabilize")
 

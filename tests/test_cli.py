@@ -86,6 +86,8 @@ def test_zeros_command(tmp_path):
     ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "0"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.4", "--hi", "0.1"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.3", "--hi", "0.3"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "inf"],
+    ["zeros", "--group", "gamma_m:2", "--lo=-inf", "--hi", "0.4"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "-3"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--points", "1"],
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
@@ -102,7 +104,7 @@ def test_zeros_command(tmp_path):
      "--bound-tol", "-1"],
     ["words", "--group", "gamma_m:2", "--length", "-1"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
-        "zeros-lo-above-hi", "zeros-lo-equals-hi",
+        "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
         "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative",
         "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative"])

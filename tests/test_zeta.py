@@ -186,7 +186,7 @@ def test_real_zeros_rejects_an_empty_range_before_any_determinant(g2, monkeypatc
         raise AssertionError("no determinant may be evaluated")
 
     monkeypatch.setattr(zeta, "zeta_det", unexpected)
-    for lo, hi in ((0.4, 0.1), (0.3, 0.3), (math.nan, 0.4)):
+    for lo, hi in ((0.4, 0.1), (0.3, 0.3), (math.nan, 0.4), (0.1, math.inf), (-math.inf, 0.4)):
         with pytest.raises(ValueError):
             real_zeros(g2, None, lo, hi)
 
@@ -210,7 +210,7 @@ def test_zero_report_serialization(g2, delta2):
 
 def test_new_eigenvalue_count_runs(g2, delta2):
     n = new_eigenvalue_count(g2, 5, 0.15, delta_value=delta2)
-    assert n >= 0
+    assert n == 0
 
 
 def test_new_eigenvalue_count_rejects_bad_modulus(g2):
