@@ -44,10 +44,8 @@ from .zeta import (
 )
 from .congruence import (
     NormCheckReport,
-    ProjLine,
     congruence_norm_check,
     coset_perm,
-    proj_line,
     reduce_mod,
     rep_lambda_p,
     rep_lambda_p0,

@@ -98,14 +98,14 @@ def _int_list(text: str) -> list[int]:
 # -- command implementations ----------------------------------------------------
 
 
-def cmd_validate(args, outdir: Path, config: dict) -> dict:
+def cmd_validate(args, outdir: Path) -> dict:
     group = load_group(args.group)
     report = {"ok": True, "label": group.label, "m": group.m, "violations": []}
     _write_csv(outdir / "validate.csv", ["label", "m", "ok"], [[group.label, group.m, 1]])
     return report
 
 
-def cmd_words(args, outdir: Path, config: dict) -> dict:
+def cmd_words(args, outdir: Path) -> dict:
     group = load_group(args.group)
     rows = []
     for w in group.words_of_length(args.length):
@@ -117,7 +117,7 @@ def cmd_words(args, outdir: Path, config: dict) -> dict:
     return {"count": len(rows), "length": args.length}
 
 
-def cmd_partition(args, outdir: Path, config: dict) -> dict:
+def cmd_partition(args, outdir: Path) -> dict:
     group = load_group(args.group)
     part = group.partition(args.tau)
     rows = []
@@ -136,7 +136,7 @@ def cmd_partition(args, outdir: Path, config: dict) -> dict:
             "max_depth": part.max_depth}
 
 
-def cmd_distortion(args, outdir: Path, config: dict) -> dict:
+def cmd_distortion(args, outdir: Path) -> dict:
     group = load_group(args.group)
     d = args.delta if args.delta is not None else delta(group, n_basis=args.n_basis)
     report = distortion_report(group, args.max_len, _float_list(args.taus), d)
@@ -146,7 +146,7 @@ def cmd_distortion(args, outdir: Path, config: dict) -> dict:
     return rd
 
 
-def cmd_zeta(args, outdir: Path, config: dict) -> dict:
+def cmd_zeta(args, outdir: Path) -> dict:
     group = load_group(args.group)
     rep = load_rep(group, args.rep)
     if args.points < 2:
@@ -165,7 +165,7 @@ def cmd_zeta(args, outdir: Path, config: dict) -> dict:
     return {"rep": args.rep, "points": args.points, "refined": bool(args.refined)}
 
 
-def cmd_zeros(args, outdir: Path, config: dict) -> dict:
+def cmd_zeros(args, outdir: Path) -> dict:
     group = load_group(args.group)
     rep = load_rep(group, args.rep)
     report = real_zeros(group, rep, args.lo, args.hi, tol=args.tol, n_basis=args.n_basis)
@@ -174,7 +174,7 @@ def cmd_zeros(args, outdir: Path, config: dict) -> dict:
     return report.as_dict()
 
 
-def cmd_delta(args, outdir: Path, config: dict) -> dict:
+def cmd_delta(args, outdir: Path) -> dict:
     group = load_group(args.group)
     d1, d2 = delta_methods(group, tol=args.tol, n_basis=args.n_basis)
     _write_csv(outdir / "delta.csv", ["group", "delta", "bisection", "zeta_zero"],
@@ -182,7 +182,7 @@ def cmd_delta(args, outdir: Path, config: dict) -> dict:
     return {"group": group.label, "delta": d1, "bisection": d1, "zeta_zero": d2}
 
 
-def cmd_np(args, outdir: Path, config: dict) -> dict:
+def cmd_np(args, outdir: Path) -> dict:
     group = load_group(args.group)
     count = new_eigenvalue_count(group, args.p, args.sigma, tol=args.tol, n_basis=args.n_basis)
     _write_csv(outdir / "np.csv", ["p", "sigma", "count"], [[args.p, args.sigma, count]])
@@ -207,7 +207,7 @@ def _trace_check_one(group: SchottkyGroup, p: int, words) -> dict:
             "words_checked": checked, "mismatches": mismatches}
 
 
-def cmd_trace_check(args, outdir: Path, config: dict) -> dict:
+def cmd_trace_check(args, outdir: Path) -> dict:
     group = load_group(args.group)
     words = [w for w in group.words_up_to(args.max_len) if w]
     results = [_trace_check_one(group, p, words) for p in primes_between(args.pmin - 1, args.pmax)]
@@ -219,7 +219,7 @@ def cmd_trace_check(args, outdir: Path, config: dict) -> dict:
     return {"primes": [r["p"] for r in results], "total_mismatches": total, "per_prime": results}
 
 
-def cmd_charsum(args, outdir: Path, config: dict) -> dict:
+def cmd_charsum(args, outdir: Path) -> dict:
     ds = _int_list(args.d)
     xs = _float_list(args.x)
     recs = sorted((char_sum(d, x) for d in ds for x in xs), key=lambda r: (r.d, r.x))
@@ -232,15 +232,13 @@ def cmd_charsum(args, outdir: Path, config: dict) -> dict:
     ]}
 
 
-def cmd_hs_sum(args, outdir: Path, config: dict) -> dict:
+def cmd_hs_sum(args, outdir: Path) -> dict:
     group = load_group(args.group)
     s = complex(args.s)
     rec = hs_prime_sum(group, args.tau, s, args.x, mode=args.mode)
-    rows = [[rec.tau, str(rec.s), rec.x,
-             rec.direct if rec.direct is not None else "",
-             rec.decomposed if rec.decomposed is not None else "",
-             rec.diagonal if rec.diagonal is not None else "",
-             rec.off_diagonal if rec.off_diagonal is not None else ""]]
+    rows = [[rec.tau, str(rec.s), rec.x] + [
+        "" if v is None else v for v in (rec.direct, rec.decomposed, rec.diagonal, rec.off_diagonal)
+    ]]
     _write_csv(outdir / "hs_sum.csv",
                ["tau", "s", "x", "direct", "decomposed", "diagonal", "offdiagonal"], rows)
     return {"tau": rec.tau, "s": str(rec.s), "x": rec.x, "primes": list(rec.primes),
@@ -249,7 +247,7 @@ def cmd_hs_sum(args, outdir: Path, config: dict) -> dict:
             "fallback_pairs": rec.fallback_pairs}
 
 
-def cmd_jensen(args, outdir: Path, config: dict) -> dict:
+def cmd_jensen(args, outdir: Path) -> dict:
     group = load_group(args.group)
     bound = jensen_bound(
         group, args.p, args.sigma, args.tau, K=args.K, n_basis=args.n_basis,
@@ -377,17 +375,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         config = json.loads(Path(known.config).read_text())
         if not isinstance(config, dict):
             raise ValueError("config file must contain a JSON object")
-        valid = set()
-        for action in parser._actions:
-            valid.add(action.dest)
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            for action in sp._actions:
-                valid.add(action.dest)
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        valid = {action.dest for sp in (parser, *subparsers) for action in sp._actions}
         unknown = sorted(set(config) - valid)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         parser.set_defaults(**config)
-        for sp in parser._subparsers._group_actions[0].choices.values():
+        for sp in subparsers:
             sp.set_defaults(**{k: v for k, v in config.items()
                                if any(a.dest == k for a in sp._actions)})
             for action in sp._actions:
@@ -404,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         outdir = Path(args.out or os.environ.get(OUTPUT_ENV_VAR) or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         resolved = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-        report = COMMANDS[args.command](args, outdir, resolved)
+        report = COMMANDS[args.command](args, outdir)
         payload = {
             "command": args.command,
             "version": __version__,

@@ -3,7 +3,6 @@ the induced representation and its sum-zero part, and trace/norm identities."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,35 +19,10 @@ class SurjectivityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjLine:
-    """The p+1 lines of F_p^2 with canonical representatives (1:x), (0:1)."""
-
-    p: int
-    points: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
-@lru_cache(maxsize=None)
-def proj_line(p: int) -> ProjLine:
-    points = tuple((1, x) for x in range(p)) + ((0, 1),)
-    return ProjLine(p=p, points=points)
-
-
 def reduce_mod(g: Moebius, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     if q < 2:
         raise ValueError("modulus must be >= 2")
     return ((g.a % q, g.b % q), (g.c % q, g.d % q))
-
-
-def _normalize_line(v: tuple[int, int], p: int) -> tuple[int, int]:
-    a, b = v[0] % p, v[1] % p
-    if a != 0:
-        return (1, b * pow(a, -1, p) % p)
-    return (0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -90,24 +64,25 @@ def surjective_mod_p(group: SchottkyGroup, p: int) -> bool:
 
 
 def coset_perm(g: Moebius, p: int) -> tuple[int, ...]:
-    """Permutation induced by the right action x -> x*g on projective lines."""
-    lines = proj_line(p)
+    """Permutation of the projective line P^1(F_p) under the right action
+    x -> x g, with the line (1:x) indexed by x < p and (0:1) by p.
+
+    (1:x) g = (a + xc : b + xd), so the action is the Moebius map
+    x -> (b + xd) / (a + xc) of g^T: a zero denominator gives p, and p maps
+    to d/c."""
     (a, b), (c, d) = reduce_mod(g, p)
-    index = {pt: i for i, pt in enumerate(lines.points)}
-    perm = []
-    for (u, v) in lines.points:
-        img = _normalize_line((u * a + v * c, u * b + v * d), p)
-        perm.append(index[img])
-    return tuple(perm)
+    x = np.arange(p + 1)
+    num = np.where(x < p, b + x * d, d) % p
+    den = np.where(x < p, a + x * c, c) % p
+    inv = np.frompyfunc(pow, 3, 1)(den, p - 2, p).astype(np.int64)  # 1/den by Fermat
+    return tuple(np.where(den == 0, p, num * inv % p).tolist())
 
 
 def trace_bruteforce(group: SchottkyGroup, g: Moebius, p: int) -> int:
     """tr(lambda_p^0(g)) as (fixed lines of the coset permutation) - 1."""
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
-    perm = coset_perm(g, p)
-    fixed = sum(1 for i, j in enumerate(perm) if i == j)
-    return fixed - 1
+    return int(np.count_nonzero(np.array(coset_perm(g, p)) == np.arange(p + 1))) - 1
 
 
 def _is_pm_identity(g: Moebius, q: int) -> bool:
@@ -127,33 +102,19 @@ def trace_formula(group: SchottkyGroup, g: Moebius, p: int) -> int:
 
 
 def _helmert_basis(n: int) -> np.ndarray:
-    """(n x (n-1)) orthonormal basis of the sum-zero subspace of R^n."""
-    h = np.zeros((n, n - 1))
-    for j in range(1, n):
-        h[:j, j - 1] = 1.0
-        h[j, j - 1] = -j
-        h[:, j - 1] /= math.sqrt(j * (j + 1))
-    return h
-
-
-def _perm_matrix(perm: tuple[int, ...]) -> np.ndarray:
-    """Matrix of f -> f(. g) in the delta basis: with coset_perm(g)[i] the
-    index of x_i g, M[i, perm[i]] = 1 gives (M f)_i = f(x_i g)."""
-    n = len(perm)
-    mat = np.zeros((n, n))
-    for i, j in enumerate(perm):
-        mat[i, j] = 1.0
-    return mat
+    """(n x (n-1)) orthonormal basis of the sum-zero subspace of R^n: column
+    j - 1 is j ones, then -j, then zeros, over sqrt(j (j + 1))."""
+    j = np.arange(1, n)
+    return (np.triu(np.ones((n, n - 1))) - np.eye(n, n - 1, -1) * j) / np.sqrt(j * (j + 1))
 
 
 def rep_lambda_p(group: SchottkyGroup, p: int) -> UnitaryRep:
     """The (p+1)-dimensional permutation representation on projective lines."""
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
-    images = {}
-    for a in group.alphabet:
-        perm = coset_perm(group.generator(a), p)
-        images[a] = _perm_matrix(perm).astype(complex)
+    # row i of f -> f(. g) is the delta at the index of x_i g
+    eye = np.eye(p + 1, dtype=complex)
+    images = {a: eye[list(coset_perm(group.generator(a), p))] for a in group.alphabet}
     return UnitaryRep(dim=p + 1, images=images, label=f"lambda_{p}")
 
 

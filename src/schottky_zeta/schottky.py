@@ -12,6 +12,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
@@ -73,20 +75,32 @@ class Moebius:
         # valid because det = 1
         return Moebius(self.d, -self.b, -self.c, self.a)
 
-    def apply(self, z: complex) -> complex:
-        """Moebius image; total on the sphere (infinity in, infinity out)."""
-        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
-        if z == INF or (isinstance(z, complex) and cmath.isinf(z)):
-            return INF if c == 0.0 else a / c
-        den = c * z + d
-        if den == 0:
-            return INF
-        return (a * z + b) / den
-
-    def derivative(self, z: complex) -> complex:
+    def _den(self, z, what: str):
+        """c z + d, which must not vanish anywhere."""
         den = float(self.c) * z + float(self.d)
-        if den == 0:
-            raise ZeroDivisionError(f"derivative evaluated at pole of {self}")
+        if (den == 0).any() if isinstance(den, np.ndarray) else den == 0:
+            raise ZeroDivisionError(f"{what} evaluated at pole of {self}")
+        return den
+
+    def apply(self, z):
+        """Moebius image of a complex scalar or numpy array. A scalar is total
+        on the sphere: infinity maps to a/c and the pole to INF. An array that
+        contains the pole raises ZeroDivisionError."""
+        array = isinstance(z, np.ndarray)
+        if not array and cmath.isinf(z):
+            return INF if self.c == 0 else float(self.a) / float(self.c)
+        try:
+            den = self._den(z, "image")
+        except ZeroDivisionError:
+            if array:
+                raise
+            return INF
+        return (float(self.a) * z + float(self.b)) / den
+
+    def derivative(self, z):
+        """g'(z) = (c z + d)^-2 at a complex scalar or numpy array; the pole
+        raises ZeroDivisionError."""
+        den = self._den(z, "derivative")
         return 1.0 / (den * den)
 
 
@@ -139,21 +153,22 @@ class SchottkyGroup:
         return all(w[j] != self.bar(w[j + 1]) for j in range(len(w) - 1))
 
     def words_of_length(self, n: int) -> list[Word]:
-        """All reduced words of length n, in lexicographic order."""
+        """All reduced words of length n, in lexicographic order; at most WORD_CAP."""
         if n < 0:
             raise ValueError(f"word length must be >= 0, got {n}")
         if n == 0:
             return [EMPTY_WORD]
+        count = 2 * self.m * (2 * self.m - 1) ** (n - 1)
+        if count > WORD_CAP:
+            raise ValueError(f"{count} reduced words of length {n} exceed the word cap {WORD_CAP}")
         words: list[Word] = [(a,) for a in self.alphabet]
         for _ in range(n - 1):
             words = [w + (b,) for w in words for b in self.alphabet if b != self.bar(w[-1])]
         return words
 
     def words_up_to(self, n: int) -> list[Word]:
-        out: list[Word] = []
-        for k in range(n + 1):
-            out.extend(self.words_of_length(k))
-        return out
+        longest = self.words_of_length(n)  # past the cap this raises before any work
+        return [w for k in range(n) for w in self.words_of_length(k)] + longest
 
     def mirror(self, w: Word) -> Word:
         """The inverse word: letters barred and reversed, gamma_mirror = gamma^-1."""
@@ -316,6 +331,7 @@ def validate_group(spec: dict) -> SchottkyGroup:
         raise GroupValidationError(violations)
 
     # mapping condition gamma_a(C \ D_abar) = D_a, sampled on the boundary circle
+    circle = np.exp(2j * np.pi * np.arange(_BOUNDARY_SAMPLES) / _BOUNDARY_SAMPLES)
     for a in group.alphabet:
         g = group.generator(a)
         src = group.disk(group.bar(a))
@@ -324,15 +340,17 @@ def validate_group(spec: dict) -> SchottkyGroup:
         if img_inf == INF or not dst.contains(img_inf):
             violations.append(f"generator {a} does not map infinity into disk {a}")
             continue
-        for k in range(_BOUNDARY_SAMPLES):
-            z = src.center + src.radius * cmath.exp(2j * math.pi * k / _BOUNDARY_SAMPLES)
-            w = g.apply(z)
-            if w == INF or abs(abs(w - dst.center) - dst.radius) > 1e-9 * dst.radius:
-                violations.append(
-                    f"generator {a} does not map the boundary of disk {group.bar(a)} "
-                    f"onto the boundary of disk {a} (sample {k})"
-                )
-                break
+        zs = src.center + src.radius * circle
+        try:
+            images = g.apply(zs)
+        except ZeroDivisionError:  # a sample at the pole, which scalars map to INF
+            images = np.array([g.apply(z) for z in zs.tolist()])
+        off = ~(np.abs(np.abs(images - dst.center) - dst.radius) <= 1e-9 * dst.radius)
+        if off.any():
+            violations.append(
+                f"generator {a} does not map the boundary of disk {group.bar(a)} "
+                f"onto the boundary of disk {a} (sample {off.argmax()})"
+            )
     if violations:
         raise GroupValidationError(violations)
     return group
@@ -398,8 +416,8 @@ class DistortionReport:
         }
 
 
-def _extend(lo_hi: tuple[float, float], v: float) -> tuple[float, float]:
-    return (min(lo_hi[0], v), max(lo_hi[1], v))
+def _extend(lo_hi: tuple[float, float], *vs: float) -> tuple[float, float]:
+    return (min(lo_hi[0], *vs), max(lo_hi[1], *vs))
 
 
 def distortion_report(
@@ -423,15 +441,11 @@ def distortion_report(
             if w[-1] == group.bar(b):
                 continue
             disk = group.disk(b)
-            zs = [complex(disk.center), complex(disk.center + 0.5 * disk.radius),
-                  complex(disk.center - 0.5 * disk.radius), disk.center + 0.5j * disk.radius]
-            derivs = [abs(g.derivative(z)) for z in zs]
-            deriv_ratio = _extend(deriv_ratio, max(derivs) / min(derivs))
-            deriv_ratio = _extend(deriv_ratio, min(derivs) / max(derivs))
-            for d in derivs:
-                ups_vs_deriv = _extend(ups_vs_deriv, d / ups[w])
-                n = len(w)
-                max_deriv_by_len[n] = max(max_deriv_by_len.get(n, 0.0), d)
+            derivs = np.abs(g.derivative(disk.center + disk.radius * np.array([0, 0.5, -0.5, 0.5j])))
+            lo, hi = float(derivs.min()), float(derivs.max())
+            deriv_ratio = _extend(deriv_ratio, hi / lo, lo / hi)
+            ups_vs_deriv = _extend(ups_vs_deriv, lo / ups[w], hi / ups[w])
+            max_deriv_by_len[len(w)] = max(max_deriv_by_len.get(len(w), 0.0), hi)
 
     short = [w for w in group.words_up_to(min(max_len, 4)) if w]
     for w in short:

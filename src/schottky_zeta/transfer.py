@@ -54,11 +54,10 @@ def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
     for admissible words and is enforced at runtime.
     """
     g = group.word_matrix(w)
-    den = float(g.c) * zs + float(g.d)
-    deriv = 1.0 / den**2
+    deriv = g.derivative(zs)
     if np.any((deriv.imag == 0.0) & (deriv.real <= 0.0)):
         raise ValueError(f"derivative of word {w} on the branch cut")
-    return (float(g.a) * zs + float(g.b)) / den, np.log(np.abs(deriv)) + 1j * np.angle(deriv)
+    return g.apply(zs), np.log(np.abs(deriv)) + 1j * np.angle(deriv)
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,9 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
     Practice, 2013). p interpolates f at the n + 1 second-kind Chebyshev points
     (one FFT of the even extension); n doubles from CHEB_START_N, reusing every
     node, until the last n/8 coefficients are below CHEB_TAIL_TOL of the
-    largest; their size bounds |f - p|. Real roots of p (colleague matrix), and ends
-    where |p| is within CHEB_DIP bounds of zero, that f brackets at
+    largest, or below sqrt(eps) of it without a fall over two doublings (f's
+    own noise floor); their size bounds |f - p|. Real roots of p (colleague
+    matrix), and ends where |p| is within CHEB_DIP bounds of zero, that f brackets at
     r +- max(tol / 4, bound / |p'(r)|) are bisected to width tol. A near-real
     conjugate pair (an even-order zero) dips |p| to within CHEB_DIP bounds at a
     root of p'; those dips and the unbracketed roots are even candidates.
@@ -189,14 +190,16 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
     def at(x: float) -> float:
         return ((1 - x) * lo + (1 + x) * hi) / 2
 
-    n = CHEB_START_N
+    n, tails = CHEB_START_N, []
     while True:
         v = np.array([f(at(math.sin(math.pi * (n - 2 * k) / (2 * n)))) for k in range(n + 1)])
         c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
         c[[0, n]] /= 2
         scale = np.max(np.abs(c))
         tail = float(np.max(np.abs(c[-max(2, n // 8):])) / scale) if scale else math.inf
-        if tail < CHEB_TAIL_TOL:
+        tails.append(tail)
+        floor = len(tails) > 2 and tails[-3] <= tail < math.sqrt(np.finfo(float).eps)
+        if tail < CHEB_TAIL_TOL or floor:
             break
         n *= 2
         if n > CHEB_MAX_N:

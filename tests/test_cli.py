@@ -103,11 +103,14 @@ def test_zeros_command(tmp_path):
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--bound-tol", "-1"],
     ["words", "--group", "gamma_m:2", "--length", "-1"],
+    ["words", "--group", "gamma_m:2", "--length", "40"],
+    ["trace-check", "--group", "gamma_m:2", "--max-len", "40"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
         "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative",
-        "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative"])
+        "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative",
+        "words-length-40", "trace-check-max-len-40"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)

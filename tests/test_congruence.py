@@ -5,7 +5,6 @@ from schottky_zeta import (
     congruence_norm_check,
     coset_perm,
     kronecker,
-    proj_line,
     reduce_mod,
     rep_lambda_p,
     rep_lambda_p0,
@@ -13,15 +12,40 @@ from schottky_zeta import (
     trace_bruteforce,
     trace_formula,
 )
+from schottky_zeta.arithmetic import primes_between
 from schottky_zeta.congruence import SurjectivityError, _helmert_basis
 from schottky_zeta.schottky import Moebius
 
 
-def test_proj_line_size():
-    for p in (5, 7, 13):
-        lines = proj_line(p)
-        assert lines.size == p + 1
-        assert len(set(lines.points)) == p + 1
+def coset_perm_reference(g, p):
+    """The right action x -> x g on canonical line representatives (1:x),
+    (0:1), each image normalised by its own modular inverse and looked up."""
+    (a, b), (c, d) = reduce_mod(g, p)
+    points = [(1, x) for x in range(p)] + [(0, 1)]
+    index = {pt: i for i, pt in enumerate(points)}
+
+    def normalize(u, v):
+        u, v = u % p, v % p
+        return (1, v * pow(u, -1, p) % p) if u else (0, 1)
+
+    return tuple(index[normalize(u * a + v * c, u * b + v * d)] for u, v in points)
+
+
+def test_coset_perm_matches_the_reference_on_words(g2):
+    words = g2.words_up_to(3)
+    for p in primes_between(4, 60):
+        for w in words:
+            g = g2.word_matrix(w)
+            assert coset_perm(g, p) == coset_perm_reference(g, p), (p, w)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_coset_perm_matches_the_reference_at_infinity(p):
+    # a = 0 mod p sends the line (1:0) to (0:1); c = 0 mod p fixes (0:1)
+    for g in (Moebius(p, -1, 1, 0), Moebius(2 * p, 1, -1, 0), Moebius(0, -1, 1, 3),
+              Moebius(1, 2, p, 2 * p + 1), Moebius(-1, 3, 0, -1), Moebius(1, 0, 0, 1)):
+        assert g.det() == 1
+        assert coset_perm(g, p) == coset_perm_reference(g, p), (p, g)
 
 
 def test_reduce_mod(g2):

@@ -62,6 +62,24 @@ def test_a_jump_never_converges():
         _chebyshev_roots(lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0, 1e-9)
 
 
+def test_a_noise_floor_below_sqrt_eps_stops_the_doubling():
+    # the 1e-11 ripple is far above CHEB_TAIL_TOL and never resolved: the tail stalls
+    tol = 1e-9
+    roots, nodes, tail = _chebyshev_roots(
+        lambda x: (x - 0.3) * (x - 0.7) * (1 + 1e-11 * math.sin(1e5 * x)), 0.0, 1.0, tol)
+    assert nodes <= 65
+    assert CHEB_TAIL_TOL < tail < math.sqrt(np.finfo(float).eps)
+    assert [sign_change for _, sign_change in roots] == [True, True]
+    assert abs(roots[0][0] - 0.3) <= tol and abs(roots[1][0] - 0.7) <= tol
+
+
+def test_a_stalled_tail_above_sqrt_eps_still_raises():
+    # six roots 7e-4 apart, evaluated with cancellation: a tail near 1e-3
+    with pytest.raises(ConvergenceError):
+        _chebyshev_roots(lambda x: np.polyval(np.poly(1.25 + 7e-4 * np.arange(6)), x),
+                         1.25, 1.262, 1e-9)
+
+
 def test_every_node_is_evaluated_once_across_doublings():
     seen = []
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from schottky_zeta import (
@@ -10,7 +11,7 @@ from schottky_zeta import (
     named_group,
     validate_group,
 )
-from schottky_zeta.schottky import Moebius
+from schottky_zeta.schottky import INF, Moebius
 
 
 def test_gamma_m_generators(g2):
@@ -60,6 +61,14 @@ def test_word_counts(g2):
 def test_negative_word_length_rejected(g2):
     with pytest.raises(ValueError):
         g2.words_of_length(-1)
+
+
+def test_word_cap_is_checked_before_any_word_is_built(g2):
+    for n in (13, 40):
+        with pytest.raises(ValueError, match="word cap"):
+            g2.words_of_length(n)
+        with pytest.raises(ValueError, match="word cap"):
+            g2.words_up_to(n)
 
 
 def test_interval_single_letter(g2):
@@ -143,6 +152,48 @@ def test_validation_catches_bad_mapping():
     }
     with pytest.raises(GroupValidationError):
         validate_group(spec)
+
+
+def test_validation_reports_a_boundary_sample_at_the_pole():
+    # generator 1 has its pole at -4, sample 0 of disk 2's boundary
+    spec = {
+        "m": 1,
+        "disks": [{"center": 4.0, "radius": 1.0}, {"center": -5.0, "radius": 1.0}],
+        "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]],
+    }
+    with pytest.raises(GroupValidationError) as exc:
+        validate_group(spec)
+    assert exc.value.violations == [
+        "generator 1 does not map the boundary of disk 2 onto the boundary of disk 1 (sample 0)",
+        "generator 2 does not map infinity into disk 2",
+    ]
+
+
+def test_array_moebius_matches_scalar_calls(g2):
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    offsets = np.concatenate([[0.0], 0.5 * ring, 0.9 * ring])
+    for w in g2.words_up_to(3):
+        g = g2.word_matrix(w)
+        for b in g2.alphabet:
+            if w and w[-1] == g2.bar(b):
+                continue
+            zs = g2.disk(b).center + g2.disk(b).radius * offsets
+            for method in (g.apply, g.derivative):
+                want = [method(z) for z in zs.tolist()]
+                np.testing.assert_allclose(method(zs), want, rtol=1e-15, atol=0.0)
+
+
+def test_a_pole_is_inf_for_a_scalar_and_raises_in_an_array():
+    g = Moebius(2, 1, 1, 1)  # pole at -1
+    assert g.apply(-1 + 0j) == INF
+    assert g.apply(INF) == 2.0
+    with pytest.raises(ZeroDivisionError):
+        g.derivative(-1 + 0j)
+    zs = np.array([0.0, -1.0, 2.0], dtype=complex)
+    for method in (g.apply, g.derivative):
+        with pytest.raises(ZeroDivisionError):
+            method(zs)
+        assert np.all(np.isfinite(method(np.delete(zs, 1))))
 
 
 def test_distortion_report_finite(g2, delta2):
