@@ -44,6 +44,7 @@ from .zeta import (
 )
 from .congruence import (
     NormCheckReport,
+    closure_size,
     congruence_norm_check,
     coset_perm,
     reduce_mod,

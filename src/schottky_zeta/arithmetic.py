@@ -41,6 +41,26 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def kronecker_over_primes(d: int, primes: list[int]) -> list[int]:
+    """(d/p) for each prime p of `primes`, one symbol per residue class.
+
+    On primes, (d/p) depends only on p mod 4|d| (Davenport, Multiplicative
+    Number Theory, ch. 5): odd p by Jacobi reciprocity, and p = 2 is the one
+    prime in its class. The memo holds at most len(primes) entries.
+    """
+    if d == 0:
+        raise ValueError("top argument d must be nonzero")
+    period = 4 * abs(d)
+    memo: dict[int, int] = {}
+    out = []
+    for p in primes:
+        r = p % period
+        if r not in memo:
+            memo[r] = kronecker(d, r)
+        out.append(memo[r])
+    return out
+
+
 def primes_between(lo: float, hi: float) -> list[int]:
     """Increasing list of primes in (lo, hi], segmented numpy sieve."""
     if hi > SIEVE_CAP:
@@ -89,8 +109,7 @@ def char_sum(d: int, x: float) -> CharSumRecord:
     primes = primes_between(x / 2, x)
     total = 0.0
     unweighted = 0.0
-    for p in primes:
-        chi = kronecker(d, p)
+    for p, chi in zip(primes, kronecker_over_primes(d, primes)):
         total += math.log(p) * chi
         unweighted += chi
     denom = math.sqrt(x) * math.log(abs(d) * x) ** 2

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .arithmetic import char_sum, primes_between
 from .congruence import (
-    _closure_size,
+    closure_size,
     rep_lambda_p,
     rep_lambda_p0,
     trace_bruteforce,
@@ -140,10 +140,9 @@ def cmd_distortion(args, outdir: Path) -> dict:
     group = load_group(args.group)
     d = args.delta if args.delta is not None else delta(group, n_basis=args.n_basis)
     report = distortion_report(group, args.max_len, _float_list(args.taus), d)
-    rd = report.as_dict()
-    rows = [[k, v[0], v[1]] for k, v in sorted(rd.items()) if isinstance(v, list) and len(v) == 2]
+    rows = [[k, lo, hi] for k, (lo, hi) in sorted(report.min_max().items())]
     _write_csv(outdir / "distortion.csv", ["quantity", "min", "max"], rows)
-    return rd
+    return report.as_dict()
 
 
 def cmd_zeta(args, outdir: Path) -> dict:
@@ -190,7 +189,7 @@ def cmd_np(args, outdir: Path) -> dict:
 
 
 def _trace_check_one(group: SchottkyGroup, p: int, words) -> dict:
-    closure = _closure_size(group, p)
+    closure = closure_size(group, p)
     if closure != p * (p * p - 1):
         return {"p": p, "surjective": False, "closure_size": closure,
                 "words_checked": 0, "mismatches": 0}

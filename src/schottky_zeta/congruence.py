@@ -3,6 +3,7 @@ the induced representation and its sum-zero part, and trace/norm identities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -12,7 +13,13 @@ from .arithmetic import kronecker
 from .reps import UnitaryRep
 from .schottky import Moebius, SchottkyGroup
 
-CLOSURE_CAP = 10**7
+CLOSURE_CAP = 10**7  # guards only the BFS fallback of closure_size
+# The trace witnesses of closure_size are searched among the reduced words of
+# length <= WITNESS_LEN, stopping at the first length with more than
+# WITNESS_WORDS words. For gamma_m:2 that is length 8; every prime
+# 11 <= p < 2e7 is certified by length 5.
+WITNESS_LEN = 8
+WITNESS_WORDS = 10**4
 
 
 class SurjectivityError(ValueError):
@@ -27,10 +34,9 @@ def reduce_mod(g: Moebius, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _closure_size(group: SchottkyGroup, p: int) -> int:
-    """Size of the subgroup of SL_2(F_p) generated by the reduced generators.
-
-    Cached: the surjectivity checks inside the trace functions would otherwise
-    repeat a BFS over up to p(p^2-1) matrices on every call.
+    """Size of the subgroup of SL_2(F_p) generated by the reduced generators,
+    by a BFS over its elements: the fallback of `closure_size`, and its oracle
+    in the tests. Cached, since the BFS holds up to p(p^2-1) matrices.
     """
     target = p * (p * p - 1)
     if target > CLOSURE_CAP:
@@ -59,8 +65,71 @@ def _closure_size(group: SchottkyGroup, p: int) -> int:
     return len(seen)
 
 
+@lru_cache(maxsize=None)
+def _word_traces(group: SchottkyGroup, n: int) -> tuple[int, ...]:
+    """The distinct exact traces of the reduced words of length n."""
+    return tuple(sorted({group.word_matrix(w).trace() for w in group.words_of_length(n)}))
+
+
+def _has_witnesses(group: SchottkyGroup, p: int) -> bool:
+    """Whether the short reduced words carry all three of the trace
+    witnesses described in `closure_size`."""
+    # below 11 no witness exists: every square mod 5 or 7 lies in {0, 1, 2, 4}
+    if p < 11 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        return False
+    split = non_split = not_exceptional = False
+    for n in range(1, WITNESS_LEN + 1):
+        if group.word_count(n) > WITNESS_WORDS:
+            break
+        for t in _word_traces(group, n):
+            u = t * t % p
+            if u in (0, 1, 2, 4):
+                continue
+            # Euler's criterion; u != 4, so t^2 - 4 is a unit mod p
+            if pow(t * t - 4, (p - 1) // 2, p) == 1:
+                split = True
+            else:
+                non_split = True
+            not_exceptional = not_exceptional or (u * u - 3 * u + 1) % p != 0
+            if split and non_split and not_exceptional:
+                return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def closure_size(group: SchottkyGroup, p: int) -> int:
+    """Size of the reduction of the group mod p, a subgroup H of SL_2(F_p).
+
+    For a prime p >= 5, Dickson's list puts every proper subgroup of
+    SL_2(F_p) inside a Borel subgroup, the normaliser of a split or of a
+    non-split Cartan subgroup, or one of 2.A_4, 2.S_4, 2.A_5. Serre
+    (Invent. Math. 15, 1972, sec. 2, Prop. 19) rules each out by the trace t
+    of one element of H, with u = t^2 mod p not in {0, 1, 2, 4}:
+
+    - t^2 - 4 a non-square mod p: the element lies in no Borel subgroup and
+      in no split Cartan normaliser;
+    - t^2 - 4 a non-zero square mod p: it lies in no non-split Cartan
+      normaliser;
+    - u^2 - 3u + 1 != 0 mod p: u = 4, 0, 1, 2 and the two roots of
+      u^2 - 3u + 1 are the values of u on the elements of PSL_2(F_p) of
+      order 1 or p, 2, 3, 4 and 5, so the element's image has order above 5
+      and it lies in none of 2.A_4, 2.S_4, 2.A_5, whose images have no
+      element of order above 5.
+
+    When the exact traces of the short reduced words (length <= WITNESS_LEN,
+    at most WITNESS_WORDS words per length) hold all three witnesses, H is
+    all of SL_2(F_p) and this is p(p^2 - 1).
+    Otherwise (p < 5; p = 5 or 7, where every square lies in {0, 1, 2, 4}, so
+    no witness exists; composite p; or a reduction that is not surjective) it
+    is the BFS size `_closure_size`, which CLOSURE_CAP caps.
+    """
+    if _has_witnesses(group, p):
+        return p * (p * p - 1)
+    return _closure_size(group, p)
+
+
 def surjective_mod_p(group: SchottkyGroup, p: int) -> bool:
-    return _closure_size(group, p) == p * (p * p - 1)
+    return closure_size(group, p) == p * (p * p - 1)
 
 
 def coset_perm(g: Moebius, p: int) -> tuple[int, ...]:

@@ -152,13 +152,17 @@ class SchottkyGroup:
     def is_reduced(self, w: Word) -> bool:
         return all(w[j] != self.bar(w[j + 1]) for j in range(len(w) - 1))
 
+    def word_count(self, n: int) -> int:
+        """Number of reduced words of length n >= 1."""
+        return 2 * self.m * (2 * self.m - 1) ** (n - 1)
+
     def words_of_length(self, n: int) -> list[Word]:
         """All reduced words of length n, in lexicographic order; at most WORD_CAP."""
         if n < 0:
             raise ValueError(f"word length must be >= 0, got {n}")
         if n == 0:
             return [EMPTY_WORD]
-        count = 2 * self.m * (2 * self.m - 1) ** (n - 1)
+        count = self.word_count(n)
         if count > WORD_CAP:
             raise ValueError(f"{count} reduced words of length {n} exceed the word cap {WORD_CAP}")
         words: list[Word] = [(a,) for a in self.alphabet]
@@ -415,6 +419,12 @@ class DistortionReport:
             "contraction_exponent": self.contraction_exponent,
         }
 
+    def min_max(self) -> dict[str, tuple[float, float]]:
+        """The observed (min, max) pair of each distortion quantity, by name."""
+        names = ("deriv_ratio", "ups_vs_deriv", "mirror_ratio", "product_ratio",
+                 "norm_sqrt_tau", "y_count_band")
+        return {name: getattr(self, name) for name in names}
+
 
 def _extend(lo_hi: tuple[float, float], *vs: float) -> tuple[float, float]:
     return (min(lo_hi[0], *vs), max(lo_hi[1], *vs))
@@ -426,7 +436,10 @@ def distortion_report(
     taus: list[float],
     delta_value: float,
 ) -> DistortionReport:
-    """Empirical min/max of the distortion ratios over a word range."""
+    """Empirical min/max of the distortion ratios over the words of length
+    1..max_len; max_len < 1 leaves no word to measure and raises ValueError."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     inf0 = (math.inf, -math.inf)
     deriv_ratio = ups_vs_deriv = mirror_ratio = product_ratio = inf0
     norm_sqrt_tau = y_band = inf0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import kronecker, primes_between
+from .arithmetic import kronecker_over_primes, primes_between
 from .congruence import _is_pm_identity, rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
@@ -352,14 +352,14 @@ def hs_prime_sum(
             if wa == wb:
                 continue
             g = group.word_matrix(group.mirror(wa) + wb)
-            disc = g.trace() ** 2 - 4
+            chis = kronecker_over_primes(g.trace() ** 2 - 4, primes)
             tr_sum = 0.0
-            for p in primes:
+            for p, chi in zip(primes, chis):
                 if _is_pm_identity(g, p):
                     fallback += 1
                     tr_sum += math.log(p) * p
                 else:
-                    tr_sum += math.log(p) * kronecker(disc, p)
+                    tr_sum += math.log(p) * chi
             off_diagonal += tr_sum * val.real
         decomposed = diagonal + off_diagonal
 

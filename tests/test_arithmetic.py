@@ -11,7 +11,7 @@ from schottky_zeta import (
     kronecker,
     primes_between,
 )
-from schottky_zeta.arithmetic import SieveCapError
+from schottky_zeta.arithmetic import SieveCapError, kronecker_over_primes
 
 
 def _legendre_bruteforce(d, p):
@@ -58,6 +58,14 @@ def test_kronecker_rejects_nonpositive_bottom():
         kronecker(3, 0)
     with pytest.raises(ValueError):
         kronecker(3, -5)
+
+
+def test_kronecker_over_primes_matches_one_symbol_per_prime():
+    primes = primes_between(0, 5000)
+    for d in [*range(-64, 0), *range(1, 65), 142 * 142 - 4, -(10**9 + 7), 2**40]:
+        assert kronecker_over_primes(d, primes) == [kronecker(d, p) for p in primes], d
+    with pytest.raises(ValueError):
+        kronecker_over_primes(0, primes)
 
 
 def test_primes_between_matches_sympy():

@@ -1,10 +1,12 @@
+import csv
 import json
+import math
 
 import pytest
 
 from schottky_zeta import cli, zeta
 from schottky_zeta.cli import main
-from schottky_zeta.congruence import _closure_size
+from schottky_zeta.congruence import _closure_size, closure_size
 
 
 def run(tmp_path, *args):
@@ -105,12 +107,13 @@ def test_zeros_command(tmp_path):
     ["words", "--group", "gamma_m:2", "--length", "-1"],
     ["words", "--group", "gamma_m:2", "--length", "40"],
     ["trace-check", "--group", "gamma_m:2", "--max-len", "40"],
+    ["distortion", "--group", "gamma_m:2", "--max-len", "0", "--delta", "0.274882"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
         "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative",
         "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative",
-        "words-length-40", "trace-check-max-len-40"])
+        "words-length-40", "trace-check-max-len-40", "distortion-max-len-0"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)
@@ -197,14 +200,33 @@ def test_distortion_command(tmp_path):
     payload = read_json(tmp_path, "distortion.json")
     lo, hi = payload["report"]["y_count_band"]
     assert 0 < lo <= hi
+    with open(tmp_path / "distortion.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["quantity", "min", "max"]
+    # one row per min/max quantity, and never the two-element list of taus
+    assert [r[0] for r in rows[1:]] == ["deriv_ratio", "mirror_ratio", "norm_sqrt_tau",
+                                        "product_ratio", "ups_vs_deriv", "y_count_band"]
+    assert all(float(lo) <= float(hi) for _, lo, hi in rows[1:])
 
 
 def test_trace_check_runs_each_closure_once(tmp_path):
-    # the CLI and the trace functions share one cache entry per (group, p)
+    # the CLI and the trace functions share one cache entry per (group, p);
+    # p = 5 and 7 take the BFS, p = 11 is certified by trace witnesses
+    closure_size.cache_clear()
     _closure_size.cache_clear()
     assert run(tmp_path, "trace-check", "--group", "gamma_m:2",
                "--max-len", "2", "--pmin", "5", "--pmax", "11") == 0
-    assert _closure_size.cache_info().misses == 3
+    assert closure_size.cache_info().misses == 3
+    assert _closure_size.cache_info().misses == 2
+
+
+def test_hs_sum_decomposed_reaches_large_x(tmp_path):
+    # |SL_2(F_p)| for p ~ 1e5 is far past CLOSURE_CAP: only trace witnesses get here
+    assert run(tmp_path, "hs-sum", "--group", "gamma_m:2", "--tau", "0.015625",
+               "--mode", "decomposed", "--x", "1e5") == 0
+    rep = read_json(tmp_path, "hs_sum.json")["report"]
+    assert rep["primes"][0] > 5e4 and rep["primes"][-1] <= 1e5
+    assert math.isfinite(rep["decomposed"])
 
 
 def test_delta_command_runs_each_method_once(tmp_path, monkeypatch):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from schottky_zeta import (
+    closure_size,
     congruence_norm_check,
     coset_perm,
+    gamma_m,
     kronecker,
     reduce_mod,
     rep_lambda_p,
@@ -13,7 +15,12 @@ from schottky_zeta import (
     trace_formula,
 )
 from schottky_zeta.arithmetic import primes_between
-from schottky_zeta.congruence import SurjectivityError, _helmert_basis
+from schottky_zeta.congruence import (
+    SurjectivityError,
+    _closure_size,
+    _has_witnesses,
+    _helmert_basis,
+)
 from schottky_zeta.schottky import Moebius
 
 
@@ -79,6 +86,40 @@ def test_surjectivity(g2):
     assert surjective_mod_p(g2, 5)
     assert surjective_mod_p(g2, 7)
     assert not surjective_mod_p(g2, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_trace_witnesses_agree_with_the_bfs(m):
+    group = gamma_m(m)
+    primes = primes_between(1, 60)
+    for p in primes:
+        if _has_witnesses(group, p):
+            assert _closure_size(group, p) == p * (p * p - 1), (m, p)
+        assert closure_size(group, p) == _closure_size(group, p), (m, p)
+    # every prime from 11 on is certified by traces alone
+    assert [p for p in primes if not _has_witnesses(group, p)] == [2, 3, 5, 7]
+
+
+def test_a_prime_without_witnesses_up_to_length_4_is_certified_by_length_5(g2):
+    # at p = 699469 every word of length <= 4 has t^2 - 4 a square or u in {0, 1, 2, 4};
+    # |SL_2(F_p)| is far past CLOSURE_CAP, so the BFS fallback would raise
+    p = 699469
+    assert closure_size(g2, p) == p * (p * p - 1)
+    traces = {g2.word_matrix(w).trace() for w in g2.words_up_to(4) if w}
+    non_split = [t for t in traces
+                 if t * t % p not in (0, 1, 2, 4) and pow(t * t - 4, (p - 1) // 2, p) == p - 1]
+    assert non_split == []
+
+
+def test_a_cyclic_group_and_p_below_5_go_to_the_bfs():
+    cases = [(1, p) for p in primes_between(1, 60)] + [(m, p) for m in (2, 3, 4) for p in (2, 3)]
+    for m, p in cases:
+        group = gamma_m(m)
+        assert not _has_witnesses(group, p), (m, p)
+        assert closure_size(group, p) == _closure_size(group, p), (m, p)
+    non_surjective = [(m, p) for m, p in cases if not surjective_mod_p(gamma_m(m), p)]
+    # gamma_m:3 and gamma_m:4 do reduce onto SL_2(F_3)
+    assert non_surjective == [(m, p) for m, p in cases if m <= 2 or p == 2]
 
 
 def test_trace_formula_vs_bruteforce_sample(g2):
