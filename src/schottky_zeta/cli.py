@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arithmetic import char_sum, primes_between
+from .arithmetic import char_sums, primes_between
 from .congruence import (
     closure_size,
     rep_lambda_p,
@@ -221,7 +221,8 @@ def cmd_trace_check(args, outdir: Path) -> dict:
 def cmd_charsum(args, outdir: Path) -> dict:
     ds = _int_list(args.d)
     xs = _float_list(args.x)
-    recs = sorted((char_sum(d, x) for d in ds for x in xs), key=lambda r: (r.d, r.x))
+    by_x = {x: char_sums(ds, x) for x in dict.fromkeys(xs)}  # one sieve per distinct x
+    recs = sorted((r for x in xs for r in by_x[x]), key=lambda r: (r.d, r.x))
     rows = [[r.d, r.x, r.total, r.bound_ratio] for r in recs]
     _write_csv(outdir / "charsum.csv", ["d", "x", "sum", "bound_ratio"], rows)
     return {"records": [

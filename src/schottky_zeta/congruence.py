@@ -3,13 +3,12 @@ the induced representation and its sum-zero part, and trace/norm identities."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import kronecker
+from .arithmetic import is_prime, kronecker
 from .reps import UnitaryRep
 from .schottky import Moebius, SchottkyGroup
 
@@ -75,7 +74,7 @@ def _has_witnesses(group: SchottkyGroup, p: int) -> bool:
     """Whether the short reduced words carry all three of the trace
     witnesses described in `closure_size`."""
     # below 11 no witness exists: every square mod 5 or 7 lies in {0, 1, 2, 4}
-    if p < 11 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p < 11 or not is_prime(p):
         return False
     split = non_split = not_exceptional = False
     for n in range(1, WITNESS_LEN + 1):

@@ -156,15 +156,19 @@ class SchottkyGroup:
         """Number of reduced words of length n >= 1."""
         return 2 * self.m * (2 * self.m - 1) ** (n - 1)
 
+    def check_word_cap(self, n: int) -> None:
+        """Raise ValueError when the reduced words of length n >= 1 exceed WORD_CAP."""
+        count = self.word_count(n)
+        if count > WORD_CAP:
+            raise ValueError(f"{count} reduced words of length {n} exceed the word cap {WORD_CAP}")
+
     def words_of_length(self, n: int) -> list[Word]:
         """All reduced words of length n, in lexicographic order; at most WORD_CAP."""
         if n < 0:
             raise ValueError(f"word length must be >= 0, got {n}")
         if n == 0:
             return [EMPTY_WORD]
-        count = self.word_count(n)
-        if count > WORD_CAP:
-            raise ValueError(f"{count} reduced words of length {n} exceed the word cap {WORD_CAP}")
+        self.check_word_cap(n)
         words: list[Word] = [(a,) for a in self.alphabet]
         for _ in range(n - 1):
             words = [w + (b,) for w in words for b in self.alphabet if b != self.bar(w[-1])]

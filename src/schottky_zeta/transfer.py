@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import kronecker_over_primes, primes_between
-from .congruence import _is_pm_identity, rep_lambda_p0, surjective_mod_p
+from .arithmetic import divides, dyadic_primes, kronecker_over_primes, log_weighted_sum
+from .congruence import rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
 
@@ -322,7 +322,8 @@ def hs_prime_sum(
     character sums via the fixed-line trace formula.
     """
     partition = group.partition(tau)
-    primes = primes_between(x / 2, x)
+    prime_array, logs = dyadic_primes(x)
+    primes = prime_array.tolist()
     for p in primes:
         if not surjective_mod_p(group, p):
             raise ValueError(f"reduction mod {p} not surjective; prime sum undefined")
@@ -352,14 +353,11 @@ def hs_prime_sum(
             if wa == wb:
                 continue
             g = group.word_matrix(group.mirror(wa) + wb)
-            chis = kronecker_over_primes(g.trace() ** 2 - 4, primes)
-            tr_sum = 0.0
-            for p, chi in zip(primes, chis):
-                if _is_pm_identity(g, p):
-                    fallback += 1
-                    tr_sum += math.log(p) * p
-                else:
-                    tr_sum += math.log(p) * chi
+            # det g = 1, so for prime p, g = +-I mod p exactly when p | gcd(b, c, a - d)
+            pm_identity = divides(math.gcd(g.b, g.c, g.a - g.d), prime_array)
+            fallback += int(np.count_nonzero(pm_identity))
+            chis = kronecker_over_primes(g.trace() ** 2 - 4, prime_array)
+            tr_sum = log_weighted_sum(logs, np.where(pm_identity, prime_array, chis))
             off_diagonal += tr_sum * val.real
         decomposed = diagonal + off_diagonal
 

@@ -4,8 +4,8 @@ on zero counts of the congruence twists."""
 
 from __future__ import annotations
 
-import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from .congruence import rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
-from .schottky import Partition, SchottkyGroup, Word
+from .schottky import Moebius, Partition, SchottkyGroup, Word
 from .transfer import DEFAULT_N, assemble_refined, assemble_standard
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
@@ -56,15 +56,39 @@ class PrimitiveClass:
 
 
 def primitive_classes(group: SchottkyGroup, len_max: int) -> list[PrimitiveClass]:
-    """One representative per primitive class, word length <= len_max: the
-    cyclically reduced words below each of their nontrivial rotations (a power
-    equals one of its rotations, so these are primitive)."""
+    """One representative per primitive class, word length <= len_max, by
+    length and then lexicographically: the cyclically reduced words that are
+    Lyndon words, strictly below each of their nontrivial rotations (a power
+    equals one of its rotations, so these are primitive).
+
+    A depth-first FKM prenecklace search (Ruskey, Savage and Wang, J.
+    Algorithms 13, 1992) over reduced words finds them: a prenecklace w of
+    length n and period p extends by each letter b >= w[n - p], keeping the
+    period p when b equals that letter and taking n + 1 above it, and it is a
+    Lyndon word when its period is its length. Each search node multiplies its
+    parent's exact matrix by one generator.
+    """
+    if len_max >= 1:
+        group.check_word_cap(len_max)
+    found: list[list[tuple[Word, int]]] = [[] for _ in range(len_max + 1)]
+
+    def extend(w: Word, period: int, g: Moebius) -> None:
+        n = len(w)
+        if period == n and (n == 1 or w[-1] != group.bar(w[0])):
+            found[n].append((w, g.trace()))
+        if n == len_max:
+            return
+        first = w[n - period]
+        for b in range(first, 2 * group.m + 1):
+            if b != group.bar(w[-1]):
+                extend(w + (b,), period if b == first else n + 1, g @ group.generator(b))
+
+    for a in group.alphabet:
+        extend((a,), 1, group.generator(a))
     out = []
-    for n in range(1, len_max + 1):
-        for w in group.words_of_length(n):
-            if (n > 1 and w[-1] == group.bar(w[0])) or any(w >= w[i:] + w[:i] for i in range(1, n)):
-                continue
-            tr = abs(group.word_matrix(w).trace())
+    for words in found:  # each length's words were found in lexicographic order
+        for w, t in words:
+            tr = abs(t)
             if tr <= 2:
                 raise ConvergenceError(f"non-hyperbolic class {w} with |trace| {tr}")
             out.append(PrimitiveClass(word=w, trace=tr, length=2.0 * math.acosh(tr / 2.0)))
@@ -95,14 +119,22 @@ def euler_product(
             )
     total = 1.0 + 0.0j
     eye = np.eye(rep.dim, dtype=complex)
-    for cls in classes:
-        rho = rep.image(cls.word)
+    images = np.array([rep.images[a] for a in group.alphabet], dtype=complex)
+    for _, same_length in itertools.groupby(classes, key=lambda c: len(c.word)):
+        batch = list(same_length)
+        indices = np.array([c.word for c in batch]) - 1
+        lengths = np.array([c.length for c in batch])
+        rho = images[indices[:, 0]]  # the letter images, multiplied left to right
+        for j in range(1, indices.shape[1]):
+            rho = rho @ images[indices[:, j]]
         k = 0
         while True:
-            f = cmath.exp(-(s + k) * cls.length)
-            if abs(f) < 1e-16:
+            f = np.exp(-(s + k) * lengths)
+            keep = np.abs(f) >= 1e-16
+            if not keep.any():
                 break
-            total *= complex(np.linalg.det(eye - rho * f)) if rep.dim > 1 else (1.0 - rho[0, 0] * f)
+            for factor in np.linalg.det(eye - rho[keep] * f[keep, None, None]).tolist():
+                total *= factor
             k += 1
     return total
 

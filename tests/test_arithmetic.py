@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import sympy
 
@@ -11,7 +12,17 @@ from schottky_zeta import (
     kronecker,
     primes_between,
 )
-from schottky_zeta.arithmetic import SieveCapError, kronecker_over_primes
+from schottky_zeta import arithmetic
+from schottky_zeta.arithmetic import (
+    MR_EXACT_BELOW,
+    SieveCapError,
+    divides,
+    is_prime,
+    kronecker_over_primes,
+)
+from schottky_zeta.cli import main
+from schottky_zeta.congruence import _is_pm_identity
+from schottky_zeta import transfer
 
 
 def _legendre_bruteforce(d, p):
@@ -62,8 +73,8 @@ def test_kronecker_rejects_nonpositive_bottom():
 
 def test_kronecker_over_primes_matches_one_symbol_per_prime():
     primes = primes_between(0, 5000)
-    for d in [*range(-64, 0), *range(1, 65), 142 * 142 - 4, -(10**9 + 7), 2**40]:
-        assert kronecker_over_primes(d, primes) == [kronecker(d, p) for p in primes], d
+    for d in [*range(-64, 0), *range(1, 65), 142 * 142 - 4, -(10**9 + 7), 2**40, 3**50 - 4]:
+        assert kronecker_over_primes(d, primes).tolist() == [kronecker(d, p) for p in primes], d
     with pytest.raises(ValueError):
         kronecker_over_primes(0, primes)
 
@@ -83,6 +94,77 @@ def test_primes_between_half_open():
 def test_primes_between_cap():
     with pytest.raises(SieveCapError):
         primes_between(0, 10**9)
+
+
+def test_is_prime_matches_the_sieve():
+    sieve = set(primes_between(0, 10**5))
+    assert [n for n in range(10**5) if is_prime(n)] == sorted(sieve)
+    # Carmichael 561 and the least strong pseudoprimes to the first 1, 2, 4 and 9 prime bases
+    for n in (561, 2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (10**9 + 7))
+    with pytest.raises(ValueError):
+        is_prime(MR_EXACT_BELOW)
+
+
+def test_divides_matches_python_remainders():
+    primes = np.array(primes_between(0, 2000) + [99999989], dtype=np.int64)
+    for n in (0, 1, -6, 2 * 3 * 1999, -(99999989 * 2**70), 3**200 * 1993,
+              2**62 * 1993 + 1993, 1999 * 99999989 * (10**40 + 7), 10**40 + 7):
+        assert divides(n, primes).tolist() == [n % p == 0 for p in primes.tolist()], n
+
+
+@pytest.mark.parametrize("x", [4, 5, 1e4, 3e4])
+def test_char_sum_matches_a_per_prime_loop_bit_for_bit(x):
+    primes = primes_between(x / 2, x)
+    for d in (-3, -4, 2, 5, 8, 12, -60):
+        total = unweighted = 0.0
+        for p in primes:
+            chi = kronecker(d, p)
+            total += math.log(p) * chi
+            unweighted += chi
+        rec = char_sum(d, x)
+        assert (rec.total, rec.unweighted, rec.prime_count) == (total, unweighted, len(primes)), d
+
+
+def test_charsum_command_sieves_each_x_once(tmp_path, monkeypatch):
+    bounds = []
+    real = arithmetic._sieve
+
+    def counted(lo, hi):
+        bounds.append(hi)
+        return real(lo, hi)
+
+    monkeypatch.setattr(arithmetic, "_sieve", counted)
+    assert main(["--out", str(tmp_path), "charsum", "--d", "5,8,13", "--x", "1e4,3e4,1e4"]) == 0
+    assert sorted(bounds) == [1e4, 3e4]
+    assert len((tmp_path / "charsum.csv").read_text().splitlines()) == 1 + 9
+
+
+@pytest.mark.parametrize("m, tau, x", [(3, 2.0**-5, 4.0), (2, 2.0**-6, 60.0)])
+def test_hs_off_diagonal_matches_a_per_prime_loop(m, tau, x):
+    # reference: the trace formula prime by prime, p log p where the pair word is +-I mod p
+    group = gamma_m(m)
+    rec = hs_prime_sum(group, tau, 0.9, x, mode="decomposed")
+    ints = transfer.pair_integrals(group, group.partition(tau), 0.9)
+    pair_total = {}
+    for (_, wa, wb), v in sorted(ints.items()):
+        pair_total[wa, wb] = pair_total.get((wa, wb), 0) + v
+    off_diagonal, fallback = 0.0, 0
+    for (wa, wb) in sorted(pair_total):
+        if wa == wb:
+            continue
+        g = group.word_matrix(group.mirror(wa) + wb)
+        tr_sum = 0.0
+        for p in rec.primes:
+            if _is_pm_identity(g, p):
+                fallback += 1
+                tr_sum += math.log(p) * p
+            else:
+                tr_sum += math.log(p) * kronecker(g.trace() ** 2 - 4, p)
+        off_diagonal += tr_sum * pair_total[wa, wb].real
+    assert rec.fallback_pairs == fallback
+    assert rec.off_diagonal == pytest.approx(off_diagonal, rel=1e-12)
 
 
 def test_char_sum_single_prime():

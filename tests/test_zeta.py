@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from schottky_zeta import (
     count_zeros_rect,
     delta,
     euler_product,
+    gamma_m,
     jensen_bound,
     new_eigenvalue_count,
     primitive_classes,
@@ -17,6 +19,7 @@ from schottky_zeta import (
 )
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
+from schottky_zeta.schottky import SchottkyGroup
 from schottky_zeta.transfer import assemble_refined
 from schottky_zeta.zeta import (
     ConvergenceError,
@@ -58,6 +61,88 @@ def test_inverse_class_counted_separately(g2):
     words = {c.word for c in primitive_classes(g2, 2)}
     # the inverse word (4,3) appears through its minimal rotation (3,4)
     assert (1, 2) in words and (3, 4) in words
+
+
+def rotation_filter_classes(group, len_max):
+    """Reference: every reduced word, kept when cyclically reduced and below
+    each of its nontrivial rotations."""
+    out = []
+    for n in range(1, len_max + 1):
+        for w in group.words_of_length(n):
+            if (n > 1 and w[-1] == group.bar(w[0])) or any(w >= w[i:] + w[:i] for i in range(1, n)):
+                continue
+            tr = abs(group.word_matrix(w).trace())
+            out.append((w, tr, 2.0 * math.acosh(tr / 2.0)))
+    return out
+
+
+def as_tuples(classes):
+    return [(c.word, c.trace, c.length) for c in classes]
+
+
+@pytest.fixture(scope="module")
+def classes2_12(g2):
+    return primitive_classes(g2, 12)
+
+
+@pytest.mark.parametrize("m, len_max", [(1, 12), (2, 8), (3, 6), (4, 5)])
+def test_primitive_classes_match_the_rotation_filter(m, len_max):
+    group = gamma_m(m)
+    assert as_tuples(primitive_classes(group, len_max)) == rotation_filter_classes(group, len_max)
+
+
+def test_primitive_classes_match_the_rotation_filter_at_length_12(g2, classes2_12):
+    assert len(classes2_12) == 69708
+    assert as_tuples(classes2_12) == rotation_filter_classes(g2, 12)
+
+
+def test_primitive_class_counts_are_necklace_counts(g2, classes2_12):
+    # primitive cyclically reduced classes of length n: (1/n) sum_{d | n} mu(n/d) tr(T^d),
+    # T the non-backtracking matrix on letters (T[a, b] = 1 unless b = bar(a))
+    letters = list(g2.alphabet)
+    t = np.array([[int(b != g2.bar(a)) for b in letters] for a in letters], dtype=np.int64)
+
+    def mobius(n):
+        out, q = 1, 2
+        while q * q <= n:
+            if n % q == 0:
+                n //= q
+                if n % q == 0:
+                    return 0
+                out = -out
+            q += 1
+        return -out if n > 1 else out
+
+    counts = [0] * 13
+    for c in classes2_12:
+        counts[len(c.word)] += 1
+    for n in range(1, 13):
+        necklaces = sum(mobius(n // d) * int(np.trace(np.linalg.matrix_power(t, d)))
+                        for d in range(1, n + 1) if n % d == 0)
+        assert counts[n] * n == necklaces, n
+
+
+def test_primitive_classes_check_the_word_cap_before_any_word(g2, monkeypatch):
+    def no_generator(self, a):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(SchottkyGroup, "generator", no_generator)
+    with pytest.raises(ValueError, match="word cap"):
+        primitive_classes(g2, 13)
+
+
+@pytest.mark.parametrize("s", [1.3, 1.2 + 0.7j])
+def test_euler_product_matches_a_per_class_loop(g2, s):
+    rep = rep_lambda_p0(g2, 5)
+    total = 1.0 + 0.0j
+    eye = np.eye(rep.dim)
+    for c in primitive_classes(g2, 8):
+        rho = rep.image(c.word)
+        k = 0
+        while abs(f := cmath.exp(-(s + k) * c.length)) >= 1e-16:
+            total *= complex(np.linalg.det(eye - rho * f))
+            k += 1
+    assert euler_product(g2, s, rep, len_max=8) == pytest.approx(total, rel=1e-13)
 
 
 def test_euler_product_matches_determinant(g2, delta2):
