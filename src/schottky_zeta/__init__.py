@@ -47,6 +47,7 @@ from .congruence import (
     closure_size,
     congruence_norm_check,
     coset_perm,
+    lambda_p0_traces,
     reduce_mod,
     rep_lambda_p,
     rep_lambda_p0,

@@ -19,10 +19,10 @@ from . import __version__
 from .arithmetic import char_sums, primes_between
 from .congruence import (
     closure_size,
+    lambda_p0_traces,
     rep_lambda_p,
     rep_lambda_p0,
     trace_bruteforce,
-    trace_formula,
 )
 from .schottky import (
     GroupValidationError,
@@ -188,28 +188,21 @@ def cmd_np(args, outdir: Path) -> dict:
     return {"p": args.p, "sigma": args.sigma, "count": count}
 
 
-def _trace_check_one(group: SchottkyGroup, p: int, words) -> dict:
-    closure = closure_size(group, p)
-    if closure != p * (p * p - 1):
-        return {"p": p, "surjective": False, "closure_size": closure,
-                "words_checked": 0, "mismatches": 0}
-    mismatches = 0
-    checked = 0
-    for w in words:
-        g = group.word_matrix(w)
-        if abs(g.trace()) <= 2:
-            continue
-        checked += 1
-        if trace_formula(group, g, p) != trace_bruteforce(group, g, p):
-            mismatches += 1
-    return {"p": p, "surjective": True, "closure_size": closure,
-            "words_checked": checked, "mismatches": mismatches}
-
-
 def cmd_trace_check(args, outdir: Path) -> dict:
     group = load_group(args.group)
-    words = [w for w in group.words_up_to(args.max_len) if w]
-    results = [_trace_check_one(group, p, words) for p in primes_between(args.pmin - 1, args.pmax)]
+    hyperbolic = [g for g in map(group.word_matrix, group.words_up_to(args.max_len))
+                  if abs(g.trace()) > 2]
+    results = []
+    for p in primes_between(args.pmin - 1, args.pmax):
+        closure = closure_size(group, p)
+        surjective = closure == p * (p * p - 1)
+        results.append({"p": p, "surjective": surjective, "closure_size": closure,
+                        "words_checked": len(hyperbolic) if surjective else 0, "mismatches": 0})
+    checked = [r for r in results if r["surjective"]]
+    for g in hyperbolic:
+        formula = lambda_p0_traces(g, [r["p"] for r in checked]).tolist()
+        for r, t in zip(checked, formula):
+            r["mismatches"] += t != trace_bruteforce(group, g, r["p"])
     rows = [[r["p"], int(r["surjective"]), r["closure_size"], r["words_checked"], r["mismatches"]]
             for r in results]
     _write_csv(outdir / "trace_check.csv",

@@ -3,12 +3,13 @@ the induced representation and its sum-zero part, and trace/norm identities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import is_prime, kronecker
+from .arithmetic import divides, is_prime, kronecker_over_primes
 from .reps import UnitaryRep
 from .schottky import Moebius, SchottkyGroup
 
@@ -158,15 +159,24 @@ def _is_pm_identity(g: Moebius, q: int) -> bool:
     return (b == 0 and c == 0) and ((a == 1 % q and d == 1 % q) or (a == q - 1 and d == q - 1))
 
 
+def lambda_p0_traces(g: Moebius, primes: np.ndarray) -> np.ndarray:
+    """tr(lambda_p^0(g)) for each prime p of the int64 array `primes`: p where
+    g = +-I mod p, else the Kronecker symbol of the characteristic
+    discriminant tr(g)^2 - 4, one symbol per residue class. A parabolic g
+    (discriminant 0) has trace 0 wherever it is not +-I."""
+    primes = np.asarray(primes, dtype=np.int64)
+    # det g = 1, so for prime p, g = +-I mod p exactly when p | gcd(b, c, a - d)
+    pm_identity = divides(math.gcd(g.b, g.c, g.a - g.d), primes)
+    disc = g.trace() ** 2 - 4
+    chi = kronecker_over_primes(disc, primes) if disc else np.zeros_like(primes)
+    return np.where(pm_identity, primes, chi)
+
+
 def trace_formula(group: SchottkyGroup, g: Moebius, p: int) -> int:
-    """tr(lambda_p^0(g)): p at +-identity mod p, else the Kronecker symbol of
-    the characteristic discriminant tr(g)^2 - 4 (computed exactly)."""
+    """tr(lambda_p^0(g)) at one prime p (see `lambda_p0_traces`)."""
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
-    if _is_pm_identity(g, p):
-        return p
-    d = g.trace() ** 2 - 4
-    return kronecker(d, p)
+    return int(lambda_p0_traces(g, np.array([p]))[0])
 
 
 def _helmert_basis(n: int) -> np.ndarray:

@@ -121,6 +121,13 @@ class SchottkyGroup:
     generators: tuple[Moebius, ...]
     label: str = "custom"
 
+    def __hash__(self) -> int:  # once per group: groups key lru_caches
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.m, self.disks, self.generators, self.label))
+
     # -- alphabet ----------------------------------------------------------
 
     @property
@@ -202,11 +209,15 @@ class SchottkyGroup:
         return lo, hi
 
     def interval_length(self, w: Word) -> float:
-        """Diameter of D_w; by convention |I_empty| = +inf."""
+        """Diameter of D_w; by convention |I_empty| = +inf. For g = gamma_{w'},
+        det g = 1 gives |g(x) - g(y)| = |x - y| / |(cx + d)(cy + d)|, free of
+        the cancellation between the nearly equal ends that `interval` returns."""
         if not w:
             return math.inf
-        lo, hi = self.interval(w)
-        return hi - lo
+        disk = self.disk(w[-1])
+        g = self.word_matrix(w[:-1])
+        x, y = disk.center - disk.radius, disk.center + disk.radius
+        return (y - x) / abs((g.c * x + g.d) * (g.c * y + g.d))
 
     def upsilon(self, w: Word) -> float:
         """|gamma_w'(o_w)| with o_w the center of the successor disk."""
@@ -231,7 +242,7 @@ class SchottkyGroup:
         operator pairs each truncation with the dropped last letter as its
         target disk (see the pairs property).
         """
-        if tau <= 0:
+        if not tau > 0:
             raise PartitionError(f"tau must be positive, got {tau}")
         min_single = min(self.interval_length((a,)) for a in self.alphabet)
         if tau >= min_single:

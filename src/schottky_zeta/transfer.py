@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import divides, dyadic_primes, kronecker_over_primes, log_weighted_sum
-from .congruence import rep_lambda_p0, surjective_mod_p
+from .arithmetic import dyadic_primes, log_weighted_sum
+from .congruence import lambda_p0_traces, rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
 
@@ -198,7 +198,6 @@ class HSRecord:
     rep_label: str
     radial_order: int
     angular_order: int
-    pair_integrals: dict[tuple[int, Word, Word], complex] | None = None
 
 
 def pair_integrals(
@@ -207,8 +206,9 @@ def pair_integrals(
     s: complex,
     radial_order: int = DEFAULT_RADIAL_ORDER,
     angular_order: int = DEFAULT_ANGULAR_ORDER,
-) -> dict[tuple[int, Word, Word], complex]:
-    """The integrals I_{a,b}^{(b)} over each target disk, polar tensor rule.
+) -> dict[tuple[Word, Word], complex]:
+    """The integrals I_{a,b} keyed by (w_a, w_b) in sorted order, each the
+    sum over target disks b, in increasing b, of the polar tensor rule on D_b.
 
     Pairs whose images land in different source disks are dropped (the
     Bergman kernel of a disjoint union vanishes across components).
@@ -216,7 +216,7 @@ def pair_integrals(
     if radial_order < 4:
         raise ValueError("radial quadrature order must be >= 4")
     nodes, weights = np.polynomial.legendre.leggauss(radial_order)
-    out: dict[tuple[int, Word, Word], complex] = {}
+    out: dict[tuple[Word, Word], complex] = {}
     phis = 2.0 * np.pi * np.arange(angular_order) / angular_order
     for b in group.alphabet:
         disk = group.disk(b)
@@ -239,19 +239,17 @@ def pair_integrals(
                     continue  # images in different disks: kernel vanishes
                 ib, pb = cache[wb]
                 kernel = bergman_kernel(group.disk(wa[0]), ia, ib)
-                out[(b, wa, wb)] = complex(np.sum(pa * np.conjugate(pb) * kernel * warr))
-    return out
+                val = complex(np.sum(pa * np.conjugate(pb) * kernel * warr))
+                out[(wa, wb)] = out.get((wa, wb), 0) + val
+    return dict(sorted(out.items()))
 
 
-def _trace_pair_sum(rep: UnitaryRep, terms) -> float:
-    """Re sum of tr(rho(g_a)^{-1} rho(g_b)) I over the ((w_a, w_b), I) terms,
-    in the order given; each trace is computed once."""
-    traces: dict[tuple[Word, Word], complex] = {}
+def _trace_pair_sum(rep: UnitaryRep, ints: dict[tuple[Word, Word], complex]) -> float:
+    """Re sum of tr(rho(g_a)^{-1} rho(g_b)) I_{a,b} over the pair integrals,
+    in their order."""
     acc = 0.0 + 0.0j
-    for (wa, wb), val in terms:
-        if (wa, wb) not in traces:
-            traces[(wa, wb)] = complex(np.trace(rep.inverse_image(wa) @ rep.image(wb)))
-        acc += traces[(wa, wb)] * val
+    for (wa, wb), val in ints.items():
+        acc += complex(np.trace(rep.inverse_image(wa) @ rep.image(wb))) * val
     return acc.real
 
 
@@ -260,22 +258,17 @@ def hs_norm_integral(
     partition: Partition,
     s: complex,
     rep: UnitaryRep | None = None,
-    keep_pairs: bool = False,
 ) -> HSRecord:
-    """||L||_HS^2 summed from tr(rho(g_a^{-1} g_b)) I_{a,b}^{(b)} pair terms.
+    """||L||_HS^2 summed from tr(rho(g_a^{-1} g_b)) I_{a,b} pair terms.
 
     Returns the record with value = the squared Hilbert-Schmidt norm at twice
     the default quadrature orders, after checking it against the default orders.
     """
     rep = rep if rep is not None else trivial_rep(group)
 
-    def total(q_r: int, q_a: int) -> tuple[float, dict]:
-        ints = pair_integrals(group, partition, s, q_r, q_a)
-        return _trace_pair_sum(rep, (((wa, wb), v) for (_, wa, wb), v in ints.items())), ints
-
-    coarse, _ = total(DEFAULT_RADIAL_ORDER, DEFAULT_ANGULAR_ORDER)
+    coarse = _trace_pair_sum(rep, pair_integrals(group, partition, s))
     radial_order, angular_order = 2 * DEFAULT_RADIAL_ORDER, 2 * DEFAULT_ANGULAR_ORDER
-    value, ints = total(radial_order, angular_order)
+    value = _trace_pair_sum(rep, pair_integrals(group, partition, s, radial_order, angular_order))
     if abs(value - coarse) > HS_CONVERGENCE_TOL * max(1.0, abs(value)):
         raise QuadratureError(f"HS integral not converged: {coarse} vs {value} at doubled order")
     if value < 0:
@@ -287,7 +280,6 @@ def hs_norm_integral(
         rep_label=rep.label,
         radial_order=radial_order,
         angular_order=angular_order,
-        pair_integrals=ints if keep_pairs else None,
     )
 
 
@@ -304,8 +296,7 @@ class HSPrimeSumRecord:
     decomposed: float | None
     diagonal: float | None
     off_diagonal: float | None
-    per_prime: dict[int, float] | None
-    fallback_pairs: int = 0        # pairs where gamma = +-I mod p forced brute force
+    fallback_pairs: int = 0        # (pair, prime) terms where the pair word is +-I mod p
 
 
 def hs_prime_sum(
@@ -331,39 +322,30 @@ def hs_prime_sum(
             raise ValueError(f"p={p} exceeds the direct-mode cap {DIRECT_P_CAP}")
 
     ints = pair_integrals(group, partition, s)
-    pair_words = sorted({(wa, wb) for (_, wa, wb) in ints})
-    pair_total = {
-        pw: sum(v for (b, wa, wb), v in ints.items() if (wa, wb) == pw) for pw in pair_words
-    }
 
-    direct = per_prime = None
+    direct = None
     if mode in ("direct", "both"):
-        per_prime = {
-            p: _trace_pair_sum(rep_lambda_p0(group, p), pair_total.items()) for p in primes
-        }
-        direct = sum(math.log(p) * v for p, v in sorted(per_prime.items()))
+        direct = log_weighted_sum(logs, np.array(
+            [_trace_pair_sum(rep_lambda_p0(group, p), ints) for p in primes]))
 
     decomposed = diagonal = off_diagonal = None
     fallback = 0
     if mode in ("decomposed", "both"):
-        prime_weight = sum(p * math.log(p) for p in primes)
-        diagonal = prime_weight * sum(v.real for (wa, wb), v in pair_total.items() if wa == wb)
+        diagonal = log_weighted_sum(logs, prime_array) * sum(
+            v.real for (wa, wb), v in ints.items() if wa == wb)
         off_diagonal = 0.0
-        for (wa, wb), val in pair_total.items():
+        for (wa, wb), val in ints.items():
             if wa == wb:
                 continue
-            g = group.word_matrix(group.mirror(wa) + wb)
-            # det g = 1, so for prime p, g = +-I mod p exactly when p | gcd(b, c, a - d)
-            pm_identity = divides(math.gcd(g.b, g.c, g.a - g.d), prime_array)
-            fallback += int(np.count_nonzero(pm_identity))
-            chis = kronecker_over_primes(g.trace() ** 2 - 4, prime_array)
-            tr_sum = log_weighted_sum(logs, np.where(pm_identity, prime_array, chis))
-            off_diagonal += tr_sum * val.real
+            traces = lambda_p0_traces(group.word_matrix(group.mirror(wa) + wb), prime_array)
+            # a trace equal to p marks a prime where the pair word is +-I mod p
+            fallback += int(np.count_nonzero(traces == prime_array))
+            off_diagonal += log_weighted_sum(logs, traces) * val.real
         decomposed = diagonal + off_diagonal
 
     return HSPrimeSumRecord(
         tau=tau, s=s, x=x, primes=tuple(primes),
         direct=direct, decomposed=decomposed,
         diagonal=diagonal, off_diagonal=off_diagonal,
-        per_prime=per_prime, fallback_pairs=fallback,
+        fallback_pairs=fallback,
     )

@@ -184,8 +184,8 @@ def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N)
 def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
     """Midpoint of [a, b] after halving it until b - a <= tol, keeping a sign
     change of f inside; fa = f(a)."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -214,8 +214,8 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
 
     Returns (roots, n + 1, tail), roots the sorted (s, sign_change) pairs, one
     per cluster narrower than the proxy's resolution of an even-order zero."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     f = functools.cache(f)
     cheb = np.polynomial.chebyshev
 
@@ -474,8 +474,10 @@ def jensen_bound(
     """
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
-    if not K > 0:
-        raise ValueError(f"K must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if not bound_tol > 0:
         raise ValueError(f"bound_tol must be positive, got {bound_tol}")
     d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)

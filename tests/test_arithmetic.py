@@ -146,10 +146,7 @@ def test_hs_off_diagonal_matches_a_per_prime_loop(m, tau, x):
     # reference: the trace formula prime by prime, p log p where the pair word is +-I mod p
     group = gamma_m(m)
     rec = hs_prime_sum(group, tau, 0.9, x, mode="decomposed")
-    ints = transfer.pair_integrals(group, group.partition(tau), 0.9)
-    pair_total = {}
-    for (_, wa, wb), v in sorted(ints.items()):
-        pair_total[wa, wb] = pair_total.get((wa, wb), 0) + v
+    pair_total = transfer.pair_integrals(group, group.partition(tau), 0.9)
     off_diagonal, fallback = 0.0, 0
     for (wa, wb) in sorted(pair_total):
         if wa == wb:

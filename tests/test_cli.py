@@ -85,7 +85,9 @@ def test_zeros_command(tmp_path):
     ["delta", "--group", "gamma_m:2", "--tol", "0"],
     ["delta", "--group", "gamma_m:2", "--tol=-1e-8"],
     ["delta", "--group", "gamma_m:2", "--tol", "1e-300"],
+    ["delta", "--group", "gamma_m:2", "--tol", "inf"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "0"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "inf"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.4", "--hi", "0.1"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.3", "--hi", "0.3"],
     ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "inf"],
@@ -101,6 +103,9 @@ def test_zeros_command(tmp_path):
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--K", "-1"],
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--K", "inf"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "nan", "--tau", "0.015625"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--bound-tol", "0"],
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--bound-tol", "-1"],
@@ -108,11 +113,12 @@ def test_zeros_command(tmp_path):
     ["words", "--group", "gamma_m:2", "--length", "40"],
     ["trace-check", "--group", "gamma_m:2", "--max-len", "40"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "0", "--delta", "0.274882"],
-], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "zeros-tol-0",
+], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
+        "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
-        "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative",
-        "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative",
+        "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative", "jensen-K-inf",
+        "jensen-sigma-nan", "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative",
         "words-length-40", "trace-check-max-len-40", "distortion-max-len-0"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
@@ -120,6 +126,19 @@ def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert err["status"] == "error"
     assert err["error_type"] == "ValueError"
     assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--group", "gamma_m:2", "--tau", "nan"],
+    ["hs-sum", "--group", "gamma_m:2", "--tau", "nan", "--x", "60"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "nan"],
+], ids=["partition-tau-nan", "hs-sum-tau-nan", "jensen-tau-nan"])
+def test_nan_tau_is_a_json_error(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error_type"] == "PartitionError"
+    assert not (tmp_path / f"{argv[0].replace('-', '_')}.csv").exists()
 
 
 def test_zeta_grid(tmp_path):

@@ -7,6 +7,7 @@ from schottky_zeta import (
     coset_perm,
     gamma_m,
     kronecker,
+    lambda_p0_traces,
     reduce_mod,
     rep_lambda_p,
     rep_lambda_p0,
@@ -21,7 +22,7 @@ from schottky_zeta.congruence import (
     _has_witnesses,
     _helmert_basis,
 )
-from schottky_zeta.schottky import Moebius
+from schottky_zeta.schottky import Disk, Moebius
 
 
 def coset_perm_reference(g, p):
@@ -120,6 +121,34 @@ def test_a_cyclic_group_and_p_below_5_go_to_the_bfs():
     non_surjective = [(m, p) for m, p in cases if not surjective_mod_p(gamma_m(m), p)]
     # gamma_m:3 and gamma_m:4 do reduce onto SL_2(F_3)
     assert non_surjective == [(m, p) for m, p in cases if m <= 2 or p == 2]
+
+
+def test_lambda_p0_traces_count_fixed_lines(g2):
+    # every prime below 60, 2 and 3 included, whether or not the reduction is surjective
+    primes = primes_between(1, 60)
+    elements = [g2.word_matrix(w) for w in g2.words_up_to(3)] + [Moebius(1, 1, 0, 1)]
+    assert elements[0] == Moebius(1, 0, 0, 1)
+    for g in elements:
+        fixed_lines = [int(np.count_nonzero(np.array(coset_perm(g, p)) == np.arange(p + 1)))
+                       for p in primes]
+        got = lambda_p0_traces(g, np.array(primes, dtype=np.int64)).tolist()
+        assert got == [f - 1 for f in fixed_lines], g
+
+
+def test_equal_groups_share_a_cache_entry_and_a_cached_hash(monkeypatch):
+    one, two = gamma_m(2), gamma_m(2)
+    assert one is not two and one == two
+    closure_size.cache_clear()
+    closure_size(one, 11)
+    closure_size(two, 11)
+    assert (closure_size.cache_info().hits, closure_size.cache_info().misses) == (1, 1)
+    # later lookups do not rebuild the hash from the nested fields
+    hashed = []
+    real = Disk.__hash__
+    monkeypatch.setattr(Disk, "__hash__", lambda disk: hashed.append(disk) or real(disk))
+    closure_size(one, 11)
+    closure_size(two, 11)
+    assert hashed == []
 
 
 def test_trace_formula_vs_bruteforce_sample(g2):

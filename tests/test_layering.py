@@ -27,6 +27,14 @@ def test_no_function_local_package_imports():
     assert offenders == []
 
 
+def test_transfer_imports_no_character_code():
+    # tr lambda_p^0 is written once, in congruence.lambda_p0_traces
+    tree = ast.parse((PACKAGE_DIR / "transfer.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert names.isdisjoint({"kronecker", "kronecker_over_primes", "divides"})
+
+
 def test_arithmetic_imports_no_package_module():
     tree = ast.parse((PACKAGE_DIR / "arithmetic.py").read_text())
     assert [node.lineno for node in ast.walk(tree) if _is_package_import(node)] == []

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,26 @@ def test_partition_rejects_large_tau(g2):
         g2.partition(2.0)
     with pytest.raises(PartitionError):
         g2.partition(-0.5)
+    with pytest.raises(PartitionError):
+        g2.partition(math.nan)
+
+
+def _exact_interval_length(group, w):
+    disk = group.disk(w[-1])
+    g = group.word_matrix(w[:-1])
+    x, y = Fraction(disk.center - disk.radius), Fraction(disk.center + disk.radius)
+    return abs((g.a * x + g.b) / (g.c * x + g.d) - (g.a * y + g.b) / (g.c * y + g.d))
+
+
+def test_partition_at_small_tau_matches_exact_lengths(g2):
+    # |I_w| near 1e-13 is far below the float spacing of endpoints near 4
+    tau = 1e-13
+    part = g2.partition(tau)
+    assert len(part.Z) == 34136
+    for w in part.Z:
+        assert _exact_interval_length(g2, w) <= tau, w
+    for w in part.Y:
+        assert _exact_interval_length(g2, w) > tau, w
 
 
 def test_validation_catches_overlap():

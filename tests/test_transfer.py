@@ -98,9 +98,13 @@ def test_truncation_converged(g2):
 
 def test_pair_integrals_cross_disk_dropped(g2, part2_64):
     ints = pair_integrals(g2, part2_64, 0.9)
-    for (b, wa, wb) in ints:
+    targets = {}
+    for w, b in part2_64.pairs:
+        targets.setdefault(w, set()).add(b)
+    for (wa, wb) in ints:
         assert wa[0] == wb[0]
-        assert wa[-1] != g2.bar(b) and wb[-1] != g2.bar(b)
+        shared = targets[wa] & targets[wb]
+        assert shared and all(wa[-1] != g2.bar(b) and wb[-1] != g2.bar(b) for b in shared)
 
 
 def test_hs_two_paths_agree(g2, part2_64):
@@ -126,10 +130,10 @@ def test_hs_quadrature_error(g2, part2_64):
 
 
 def test_hs_record_metadata(g2, part2_64):
-    rec = hs_norm_integral(g2, part2_64, 0.8, keep_pairs=True)
+    rec = hs_norm_integral(g2, part2_64, 0.8)
     assert rec.tau == part2_64.tau
     assert rec.rep_label == "trivial"
-    assert rec.pair_integrals is not None and len(rec.pair_integrals) > 0
+    assert len(pair_integrals(g2, part2_64, 0.8)) > 0
     # the orders that produced value: twice the defaults of pair_integrals
     assert (rec.radial_order, rec.angular_order) == (48, 96)
 
