@@ -71,29 +71,27 @@ def _word_traces(group: SchottkyGroup, n: int) -> tuple[int, ...]:
     return tuple(sorted({group.word_matrix(w).trace() for w in group.words_of_length(n)}))
 
 
-def _has_witnesses(group: SchottkyGroup, p: int) -> bool:
-    """Whether the short reduced words carry all three of the trace
-    witnesses described in `closure_size`."""
-    # below 11 no witness exists: every square mod 5 or 7 lies in {0, 1, 2, 4}
-    if p < 11 or not is_prime(p):
-        return False
-    split = non_split = not_exceptional = False
+def _witnessed(group: SchottkyGroup, primes: np.ndarray) -> np.ndarray:
+    """Whether the short reduced words carry the three trace witnesses of
+    `closure_size` at each prime of the int64 array `primes`: u = t^2 mod p is
+    outside {0, 1, 2, 4} iff p does not divide t(t^2 - 1)(t^2 - 2)(t^2 - 4), and
+    u^2 - 3u + 1 != 0 iff p does not divide t^4 - 3t^2 + 1."""
+    found = np.zeros((3, primes.size), dtype=bool)  # split, non-split, order above 5
+    todo = np.flatnonzero(primes >= 11)  # below 11 no witness exists (see closure_size)
     for n in range(1, WITNESS_LEN + 1):
-        if group.word_count(n) > WITNESS_WORDS:
+        if not todo.size or group.word_count(n) > WITNESS_WORDS:
             break
         for t in _word_traces(group, n):
-            u = t * t % p
-            if u in (0, 1, 2, 4):
+            t2 = t * t
+            if not todo.size or t2 in (0, 1, 4):  # all certified, or u in {0, 1, 4} at every p
                 continue
-            # Euler's criterion; u != 4, so t^2 - 4 is a unit mod p
-            if pow(t * t - 4, (p - 1) // 2, p) == 1:
-                split = True
-            else:
-                non_split = True
-            not_exceptional = not_exceptional or (u * u - 3 * u + 1) % p != 0
-            if split and non_split and not_exceptional:
-                return True
-    return False
+            q = primes[todo]
+            usable = ~divides(t * (t2 - 1) * (t2 - 2) * (t2 - 4), q)
+            chi = kronecker_over_primes(t2 - 4, q)
+            found[:, todo] |= [usable & (chi == 1), usable & (chi == -1),
+                               usable & ~divides(t2 * t2 - 3 * t2 + 1, q)]
+            todo = todo[~found[:, todo].all(axis=0)]
+    return found.all(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -120,16 +118,25 @@ def closure_size(group: SchottkyGroup, p: int) -> int:
     at most WITNESS_WORDS words per length) hold all three witnesses, H is
     all of SL_2(F_p) and this is p(p^2 - 1).
     Otherwise (p < 5; p = 5 or 7, where every square lies in {0, 1, 2, 4}, so
-    no witness exists; composite p; or a reduction that is not surjective) it
-    is the BFS size `_closure_size`, which CLOSURE_CAP caps.
+    no witness exists; composite p; p >= 2^31, past `divides`; a reduction not
+    onto) it is the BFS size `_closure_size`, which CLOSURE_CAP caps.
     """
-    if _has_witnesses(group, p):
+    if p < 2**31 and is_prime(p) and _witnessed(group, np.array([p]))[0]:
         return p * (p * p - 1)
     return _closure_size(group, p)
 
 
 def surjective_mod_p(group: SchottkyGroup, p: int) -> bool:
     return closure_size(group, p) == p * (p * p - 1)
+
+
+def surjective_primes(group: SchottkyGroup, primes: np.ndarray) -> np.ndarray:
+    """`surjective_mod_p` at each prime of the int64 array `primes`, taken to be
+    prime (sieve output): the trace witnesses over the whole array, then the
+    BFS `_closure_size` at the primes they leave uncertified."""
+    onto = _witnessed(group, primes)
+    onto[~onto] = [_closure_size(group, p) == p * (p * p - 1) for p in primes[~onto].tolist()]
+    return onto
 
 
 def coset_perm(g: Moebius, p: int) -> tuple[int, ...]:

@@ -121,13 +121,6 @@ class SchottkyGroup:
     generators: tuple[Moebius, ...]
     label: str = "custom"
 
-    def __hash__(self) -> int:  # once per group: groups key lru_caches
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.m, self.disks, self.generators, self.label))
-
     # -- alphabet ----------------------------------------------------------
 
     @property
@@ -452,9 +445,12 @@ def distortion_report(
     delta_value: float,
 ) -> DistortionReport:
     """Empirical min/max of the distortion ratios over the words of length
-    1..max_len; max_len < 1 leaves no word to measure and raises ValueError."""
+    1..max_len; max_len < 1 leaves no word to measure and raises ValueError,
+    as does a non-finite delta_value."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if not math.isfinite(delta_value):
+        raise ValueError(f"delta must be finite, got {delta_value}")
     inf0 = (math.inf, -math.inf)
     deriv_ratio = ups_vs_deriv = mirror_ratio = product_ratio = inf0
     norm_sqrt_tau = y_band = inf0

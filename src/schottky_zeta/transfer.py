@@ -12,6 +12,7 @@ representation and summed over primes p ~ x for lambda_p^0.
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import dyadic_primes, log_weighted_sum
-from .congruence import lambda_p0_traces, rep_lambda_p0, surjective_mod_p
+from .congruence import lambda_p0_traces, rep_lambda_p0, surjective_primes
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
 
@@ -154,6 +155,8 @@ def assemble_pairs(
     The s-independent data is built on the first call for (group, pairs,
     rep, n_basis) and kept while rep and group live; each call returns a new
     matrix."""
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     rep = rep if rep is not None else trivial_rep(group)
     plans = _PLANS.setdefault(rep, weakref.WeakKeyDictionary()).setdefault(group, {})
     key = (tuple(sorted(pairs)), n_basis)
@@ -213,6 +216,8 @@ def pair_integrals(
     Pairs whose images land in different source disks are dropped (the
     Bergman kernel of a disjoint union vanishes across components).
     """
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if radial_order < 4:
         raise ValueError("radial quadrature order must be >= 4")
     nodes, weights = np.polynomial.legendre.leggauss(radial_order)
@@ -315,11 +320,11 @@ def hs_prime_sum(
     partition = group.partition(tau)
     prime_array, logs = dyadic_primes(x)
     primes = prime_array.tolist()
-    for p in primes:
-        if not surjective_mod_p(group, p):
-            raise ValueError(f"reduction mod {p} not surjective; prime sum undefined")
-        if mode in ("direct", "both") and p > DIRECT_P_CAP:
-            raise ValueError(f"p={p} exceeds the direct-mode cap {DIRECT_P_CAP}")
+    if mode in ("direct", "both") and primes and primes[-1] > DIRECT_P_CAP:
+        raise ValueError(f"p={primes[-1]} exceeds the direct-mode cap DIRECT_P_CAP={DIRECT_P_CAP}")
+    onto = surjective_primes(group, prime_array)
+    if not onto.all():
+        raise ValueError(f"reduction mod {prime_array[~onto][0]} not surjective; prime sum undefined")
 
     ints = pair_integrals(group, partition, s)
 

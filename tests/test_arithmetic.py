@@ -22,7 +22,7 @@ from schottky_zeta.arithmetic import (
 )
 from schottky_zeta.cli import main
 from schottky_zeta.congruence import _is_pm_identity
-from schottky_zeta import transfer
+from schottky_zeta import congruence, transfer
 
 
 def _legendre_bruteforce(d, p):
@@ -201,6 +201,22 @@ def test_hs_prime_sum_rejects_nonsurjective():
     # gamma_m:1 reduces to a cyclic subgroup mod small primes in this range
     with pytest.raises(ValueError):
         hs_prime_sum(g1, 2.0**-6, 0.9, 4.0)
+
+
+def test_hs_prime_sum_decomposed_runs_no_primality_test(g2, monkeypatch):
+    # the sieve's primes are certified as one array, never one is_prime at a time
+    def no_is_prime(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(congruence, "is_prime", no_is_prime)
+    rec = hs_prime_sum(g2, 2.0**-6, 0.9, 1e5, mode="decomposed")
+    assert len(rec.primes) == 4459
+    assert rec.decomposed == 3579390.9600619413
+
+
+def test_hs_prime_sum_direct_mode_rejects_primes_past_the_cap(g2):
+    with pytest.raises(ValueError, match=f"DIRECT_P_CAP={transfer.DIRECT_P_CAP}"):
+        hs_prime_sum(g2, 2.0**-6, 0.9, 3000.0, mode="direct")
 
 
 def test_jensen_bound_nonnegative(g2):

@@ -113,19 +113,25 @@ def test_zeros_command(tmp_path):
     ["words", "--group", "gamma_m:2", "--length", "40"],
     ["trace-check", "--group", "gamma_m:2", "--max-len", "40"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "0", "--delta", "0.274882"],
+    ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--delta", "nan"],
+    ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "nan", "--x", "60"],
+    ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "inf", "--x", "60"],
+    ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--im", "nan"],
+    ["zeta", "--group", "gamma_m:2", "--re-lo", "nan", "--re-hi", "1.0"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
         "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
         "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative", "jensen-K-inf",
         "jensen-sigma-nan", "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative",
-        "words-length-40", "trace-check-max-len-40", "distortion-max-len-0"])
+        "words-length-40", "trace-check-max-len-40", "distortion-max-len-0",
+        "distortion-delta-nan", "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["status"] == "error"
     assert err["error_type"] == "ValueError"
-    assert not (tmp_path / f"{argv[0]}.csv").exists()
+    assert not (tmp_path / f"{argv[0].replace('-', '_')}.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,12 +17,39 @@ from schottky_zeta import (
 )
 from schottky_zeta.arithmetic import primes_between
 from schottky_zeta.congruence import (
+    WITNESS_LEN,
+    WITNESS_WORDS,
     SurjectivityError,
     _closure_size,
-    _has_witnesses,
     _helmert_basis,
+    _witnessed,
+    _word_traces,
+    surjective_primes,
 )
-from schottky_zeta.schottky import Disk, Moebius
+from schottky_zeta.schottky import Moebius
+
+
+def has_witnesses_reference(group, p):
+    """The trace witnesses of `closure_size` at one prime p >= 11, u = t^2 mod p
+    reduced and t^2 - 4 classified by Euler's criterion."""
+    if p < 11:
+        return False
+    split = non_split = not_exceptional = False
+    for n in range(1, WITNESS_LEN + 1):
+        if group.word_count(n) > WITNESS_WORDS:
+            break
+        for t in _word_traces(group, n):
+            u = t * t % p
+            if u in (0, 1, 2, 4):
+                continue
+            if pow(t * t - 4, (p - 1) // 2, p) == 1:
+                split = True
+            else:
+                non_split = True
+            not_exceptional = not_exceptional or (u * u - 3 * u + 1) % p != 0
+            if split and non_split and not_exceptional:
+                return True
+    return False
 
 
 def coset_perm_reference(g, p):
@@ -93,12 +120,23 @@ def test_surjectivity(g2):
 def test_trace_witnesses_agree_with_the_bfs(m):
     group = gamma_m(m)
     primes = primes_between(1, 60)
-    for p in primes:
-        if _has_witnesses(group, p):
+    witnessed = _witnessed(group, np.array(primes)).tolist()
+    for p, certified in zip(primes, witnessed):
+        if certified:
             assert _closure_size(group, p) == p * (p * p - 1), (m, p)
         assert closure_size(group, p) == _closure_size(group, p), (m, p)
     # every prime from 11 on is certified by traces alone
-    assert [p for p in primes if not _has_witnesses(group, p)] == [2, 3, 5, 7]
+    assert [p for p, certified in zip(primes, witnessed) if not certified] == [2, 3, 5, 7]
+    assert surjective_primes(group, np.array(primes)).tolist() == [
+        surjective_mod_p(group, p) for p in primes]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_witnessed_matches_the_scalar_euler_criterion(m):
+    group = gamma_m(m)
+    primes = primes_between(1, 4000)
+    assert _witnessed(group, np.array(primes)).tolist() == [
+        has_witnesses_reference(group, p) for p in primes]
 
 
 def test_a_prime_without_witnesses_up_to_length_4_is_certified_by_length_5(g2):
@@ -116,7 +154,7 @@ def test_a_cyclic_group_and_p_below_5_go_to_the_bfs():
     cases = [(1, p) for p in primes_between(1, 60)] + [(m, p) for m in (2, 3, 4) for p in (2, 3)]
     for m, p in cases:
         group = gamma_m(m)
-        assert not _has_witnesses(group, p), (m, p)
+        assert not _witnessed(group, np.array([p]))[0], (m, p)
         assert closure_size(group, p) == _closure_size(group, p), (m, p)
     non_surjective = [(m, p) for m, p in cases if not surjective_mod_p(gamma_m(m), p)]
     # gamma_m:3 and gamma_m:4 do reduce onto SL_2(F_3)
@@ -135,20 +173,13 @@ def test_lambda_p0_traces_count_fixed_lines(g2):
         assert got == [f - 1 for f in fixed_lines], g
 
 
-def test_equal_groups_share_a_cache_entry_and_a_cached_hash(monkeypatch):
+def test_equal_groups_share_a_cache_entry():
     one, two = gamma_m(2), gamma_m(2)
     assert one is not two and one == two
     closure_size.cache_clear()
     closure_size(one, 11)
     closure_size(two, 11)
     assert (closure_size.cache_info().hits, closure_size.cache_info().misses) == (1, 1)
-    # later lookups do not rebuild the hash from the nested fields
-    hashed = []
-    real = Disk.__hash__
-    monkeypatch.setattr(Disk, "__hash__", lambda disk: hashed.append(disk) or real(disk))
-    closure_size(one, 11)
-    closure_size(two, 11)
-    assert hashed == []
 
 
 def test_trace_formula_vs_bruteforce_sample(g2):

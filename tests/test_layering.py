@@ -28,11 +28,13 @@ def test_no_function_local_package_imports():
 
 
 def test_transfer_imports_no_character_code():
-    # tr lambda_p^0 is written once, in congruence.lambda_p0_traces
+    # tr lambda_p^0 is written once, in congruence.lambda_p0_traces, and the
+    # primes of a prime sum are certified as one array, by surjective_primes
     tree = ast.parse((PACKAGE_DIR / "transfer.py").read_text())
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
-    assert names.isdisjoint({"kronecker", "kronecker_over_primes", "divides"})
+    assert names.isdisjoint({"kronecker", "kronecker_over_primes", "divides",
+                             "is_prime", "surjective_mod_p", "closure_size"})
 
 
 def test_arithmetic_imports_no_package_module():
