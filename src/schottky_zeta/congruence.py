@@ -186,29 +186,63 @@ def trace_formula(group: SchottkyGroup, g: Moebius, p: int) -> int:
     return int(lambda_p0_traces(g, np.array([p]))[0])
 
 
-def _helmert_basis(n: int) -> np.ndarray:
-    """(n x (n-1)) orthonormal basis of the sum-zero subspace of R^n: column
-    j - 1 is j ones, then -j, then zeros, over sqrt(j (j + 1))."""
-    j = np.arange(1, n)
-    return (np.triu(np.ones((n, n - 1))) - np.eye(n, n - 1, -1) * j) / np.sqrt(j * (j + 1))
+def _helmert_basis(w: np.ndarray) -> np.ndarray:
+    """(n x (n-1)) orthonormal basis of the complement of the positive vector
+    w in R^n: with S_j = w_1^2 + ... + w_j^2, column j - 1 is w_1, ..., w_j,
+    then -S_j / w_{j+1}, then zeros, times w_{j+1} / sqrt(S_j S_{j+1}). Unit
+    weights give the Helmert basis of the sum-zero subspace."""
+    n = len(w)
+    s = np.cumsum(w * w)
+    h = np.triu(np.ones((n, n - 1))) * w[:, None] - np.eye(n, n - 1, -1) * (s[:-1] / w[1:])
+    return h * (w[1:] / np.sqrt(s[:-1] * s[1:]))
+
+
+def _negation(p: int) -> np.ndarray:
+    """The permutation x -> -x of P^1(F_p), indexed as in `coset_perm`; it
+    fixes 0 and (0:1)."""
+    x = np.arange(p + 1)
+    return np.where(x < p, -x % p, p)
+
+
+def _parity_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (p+1) x p orthonormal basis of the sum-zero functions on P^1(F_p):
+    the even functions of x -> -x (a weighted Helmert basis over its orbits),
+    then the odd ones (one per orbit {x, -x} of two points); and the parity,
+    +1 or -1, of each column."""
+    neg = _negation(p)
+    x = np.arange(p + 1)
+    lo = x[x <= neg]                        # one point of each orbit
+    pairs = lo[lo < neg[lo]]                # the orbits of two points
+    orbits = np.zeros((p + 1, lo.size))
+    orbits[lo, np.arange(lo.size)] = orbits[neg[lo], np.arange(lo.size)] = 1.0
+    w = np.sqrt(orbits.sum(axis=0))         # the constants, in the normalised orbit basis
+    even = orbits / w @ _helmert_basis(w)
+    odd = np.zeros((p + 1, pairs.size))
+    odd[pairs, np.arange(pairs.size)] = math.sqrt(0.5)
+    odd[neg[pairs], np.arange(pairs.size)] = -math.sqrt(0.5)
+    return np.hstack([even, odd]), np.repeat([1.0, -1.0], [even.shape[1], odd.shape[1]])
 
 
 def rep_lambda_p(group: SchottkyGroup, p: int) -> UnitaryRep:
-    """The (p+1)-dimensional permutation representation on projective lines."""
+    """The (p+1)-dimensional permutation representation on projective lines,
+    with x -> -x as its intertwiner of z -> -z."""
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
     # row i of f -> f(. g) is the delta at the index of x_i g
     eye = np.eye(p + 1, dtype=complex)
     images = {a: eye[list(coset_perm(group.generator(a), p))] for a in group.alphabet}
-    return UnitaryRep(dim=p + 1, images=images, label=f"lambda_{p}")
+    return UnitaryRep(dim=p + 1, images=images, label=f"lambda_{p}",
+                      intertwiner=(_negation(p), np.ones(p + 1)))
 
 
 def rep_lambda_p0(group: SchottkyGroup, p: int) -> UnitaryRep:
-    """The p-dimensional sum-zero part, materialized in a Helmert basis."""
+    """The p-dimensional sum-zero part, materialized in the basis of
+    `_parity_basis`, where the intertwiner of z -> -z is diag(parity)."""
     full = rep_lambda_p(group, p)
-    h = _helmert_basis(p + 1)
+    h, parity = _parity_basis(p)
     images = {a: (h.T @ full.images[a].real @ h).astype(complex) for a in group.alphabet}
-    return UnitaryRep(dim=p, images=images, label=f"lambda_{p}^0")
+    return UnitaryRep(dim=p, images=images, label=f"lambda_{p}^0",
+                      intertwiner=(np.arange(p), parity))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,18 @@ class UnitaryRep:
     representation extends to words multiplicatively. Equality and hashing
     are by identity, so a rep can key the caches of the operators built on it;
     its images must not change once an operator has been assembled with it.
+
+    `intertwiner`, when given, is the rep's operator V for the reflection
+    J(z) = -z of the group (`SchottkyGroup.involution` sigma), a signed
+    permutation (perm, sign) of the index: (V f)[i] = sign[i] f[perm[i]], with
+    V^2 = 1 and V rho(a) V^-1 = rho(sigma(a)). Operators on a rep without one
+    are not reduced by the symmetry.
     """
 
     dim: int
     images: dict[int, np.ndarray]
     label: str
+    intertwiner: tuple[np.ndarray, np.ndarray] | None = None
 
     def image(self, w: Word) -> np.ndarray:
         out = np.eye(self.dim, dtype=complex)
@@ -44,6 +51,18 @@ class UnitaryRep:
             if np.max(np.abs(self.images[group.bar(a)] - u.conj().T)) > tol:
                 raise ValueError(f"{self.label}: image of letter {group.bar(a)} is not the adjoint of letter {a}")
 
+    def check_intertwiner(self, sigma: tuple[int, ...], tol: float = UNITARITY_TOL) -> None:
+        """Raise ValueError unless the intertwiner V is an involution with
+        V rho(a) V^-1 = rho(sigma(a)) for every letter a."""
+        perm, sign = self.intertwiner
+        v = sign[:, None] * np.eye(self.dim)[perm]
+        if np.max(np.abs(v @ v - np.eye(self.dim))) > tol:
+            raise ValueError(f"{self.label}: the intertwiner of z -> -z is not an involution")
+        for a, image in self.images.items():
+            if np.max(np.abs(v @ image @ v.T - self.images[sigma[a - 1]])) > tol:
+                raise ValueError(f"{self.label}: the intertwiner of z -> -z does not carry "
+                                 f"letter {a} to letter {sigma[a - 1]}")
+
 
 _TRIVIAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -52,7 +71,8 @@ def trivial_rep(group: SchottkyGroup) -> UnitaryRep:
     """The trivial rep of group, one object per group while the group lives."""
     if group not in _TRIVIAL:
         one = np.ones((1, 1), dtype=complex)
-        _TRIVIAL[group] = UnitaryRep(dim=1, images={a: one for a in group.alphabet}, label="trivial")
+        _TRIVIAL[group] = UnitaryRep(dim=1, images={a: one for a in group.alphabet}, label="trivial",
+                                     intertwiner=(np.zeros(1, dtype=int), np.ones(1)))
     return _TRIVIAL[group]
 
 
@@ -63,5 +83,9 @@ def direct_sum(r1: UnitaryRep, r2: UnitaryRep) -> UnitaryRep:
         u[: r1.dim, : r1.dim] = r1.images[a]
         u[r1.dim :, r1.dim :] = r2.images[a]
         images[a] = u
-    return UnitaryRep(dim=r1.dim + r2.dim, images=images, label=f"{r1.label}+{r2.label}")
-
+    intertwiner = None
+    if r1.intertwiner is not None and r2.intertwiner is not None:
+        (p1, s1), (p2, s2) = r1.intertwiner, r2.intertwiner
+        intertwiner = (np.concatenate([p1, p2 + r1.dim]), np.concatenate([s1, s2]))
+    return UnitaryRep(dim=r1.dim + r2.dim, images=images, label=f"{r1.label}+{r2.label}",
+                      intertwiner=intertwiner)

@@ -136,6 +136,22 @@ class SchottkyGroup:
     def generator(self, a: int) -> Moebius:
         return self.generators[a - 1]
 
+    @functools.cached_property
+    def involution(self) -> tuple[int, ...] | None:
+        """The letter involution sigma of the reflection J(z) = -z, as
+        (sigma(1), ..., sigma(2m)): J g_a J = g_sigma(a) exactly, J =
+        diag(-1, 1), and D_sigma(a) has centre -c_a and the same radius. None
+        when some letter has no such image or sigma fixes a letter."""
+        sigma = []
+        for a in self.alphabet:
+            g, disk = self.generator(a), self.disk(a)
+            image = (Moebius(g.a, -g.b, -g.c, g.d), Disk(-disk.center, disk.radius))
+            match = [b for b in self.alphabet if (self.generator(b), self.disk(b)) == image]
+            if not match or match[0] == a:
+                return None
+            sigma.append(match[0])
+        return tuple(sigma)
+
     def test_point(self, a: int) -> float:
         # o_a is fixed as the disk center (maximally interior choice)
         return self.disk(a).center

@@ -13,6 +13,7 @@ representation and summed over primes p ~ x for lambda_p^0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -65,17 +66,43 @@ def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
 class TransferMatrix:
     """Block matrix of a (refined) twisted transfer operator truncation.
 
-    Row/column index layout: (disk letter, basis index k, rep index v) packed
-    as ((letter-1) * N + k) * dim_rho + v.
+    Row/column index layout of `matrix`: (disk letter, basis index k, rep
+    index v) packed as ((letter-1) * N + k) * dim_rho + v.
+
+    `rows` holds the rows of the representative letters, in the order and
+    layout of `_OperatorPlan`. With the z -> -z symmetry the operator is
+    [[A, B], [T B T, T A T]] in that order, `mirror` is the signed
+    permutation T = (perm, sign) of one half, (T x)[i] = sign[i] x[perm[i]],
+    and `rows` is [A | B T], so that the blocks of the operator on the even
+    and odd functions are A + B T and A - B T. Without the symmetry `rows` is
+    the whole matrix and `mirror` is None.
     """
 
-    matrix: np.ndarray
+    rows: np.ndarray
+    mirror: tuple[np.ndarray, np.ndarray] | None
+    letters: tuple[int, ...]   # the letter of each block of rows and columns, in order
     rep_dim: int
     n_basis: int
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.rows.shape[1]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The whole matrix, rebuilt from `rows` by signed permutations."""
+        if self.mirror is None:
+            return self.rows
+        h = self.rows.shape[0]
+        perm, sign = self.mirror
+        a, bt = self.rows[:, :h], self.rows[:, h:]
+        full = np.block([[a, bt[:, perm] * sign],
+                         [sign[:, None] * bt[perm], sign[:, None] * a[np.ix_(perm, perm)] * sign]])
+        if list(self.letters) != sorted(self.letters):
+            n = self.n_basis * self.rep_dim
+            index = (np.argsort(self.letters)[:, None] * n + np.arange(n)).ravel()
+            full = full[np.ix_(index, index)]
+        return full
 
     def block(self, target: int, source: int) -> np.ndarray:
         n = self.n_basis * self.rep_dim
@@ -90,6 +117,15 @@ class _OperatorPlan:
     f |-> g_w'(.)^s f(g_w .) from the basis of D_{w[0]} into that of D_b,
     Kronecker times rho(g_w)^{-1}. Only the weight exp(s log g_w') at the
     sampling points depends on s.
+
+    The reflection J(z) = -z maps basis element k of D_a to (-1)^k times
+    basis element k of D_sigma(a) (`SchottkyGroup.involution`). When the group
+    has sigma, the pairs are closed under it and the rep carries its
+    intertwiner V, the operator commutes with U = (sigma swap) (x)
+    diag((-1)^k) (x) V (Borthwick and Weich, J. Spectral Theory 6, 2016).
+    The letters a < sigma(a) come first, then their mirrors, and only the
+    pairs whose target is one of the first are evaluated: see
+    TransferMatrix. Otherwise every letter is a representative.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
@@ -98,6 +134,27 @@ class _OperatorPlan:
             raise ValueError("n_basis must be >= 1")
         if n_basis > MAX_N:
             raise ValueError(f"n_basis {n_basis} exceeds cap {MAX_N}")
+        for w, b in pairs:
+            if not w:
+                raise ValueError("transfer operator words must be nonempty")
+            if w[-1] == group.bar(b):
+                raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
+        sigma = group.involution
+        if sigma is not None and rep.intertwiner is not None and set(pairs) == {
+                (tuple(sigma[a - 1] for a in w), sigma[b - 1]) for w, b in pairs}:
+            rep.check_intertwiner(sigma)
+            first = tuple(a for a in group.alphabet if a < sigma[a - 1])
+            self.letters = first + tuple(sigma[a - 1] for a in first)
+            perm, sign = rep.intertwiner
+            half = np.arange(len(first) * n_basis * rep.dim).reshape(len(first), n_basis, rep.dim)
+            parity = (-1.0) ** np.arange(n_basis)
+            self.mirror = (half[:, :, perm].ravel(),
+                           np.broadcast_to(parity[:, None] * sign, half.shape).ravel())
+            v = sign[:, None] * np.eye(rep.dim)[perm]
+        else:
+            first = self.letters = tuple(group.alphabet)
+            self.mirror = None
+        position = {a: i for i, a in enumerate(self.letters)}
         n_samp = 4 * n_basis
         circle = np.exp(1j * (2.0 * np.pi * np.arange(n_samp) / n_samp))
         ks = np.arange(n_basis)
@@ -105,36 +162,57 @@ class _OperatorPlan:
         log_deriv, samples, scale = [], [], []
         self.rho_inv, self.blocks = [], []
         for w, b in pairs:
-            if not w:
-                raise ValueError("transfer operator words must be nonempty")
-            if w[-1] == group.bar(b):
-                raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
+            if position[b] >= len(first):
+                continue
             target, source = group.disk(b), group.disk(w[0])
             zs = target.center + SAMPLING_RADIUS * target.radius * circle
             images, log_w = _moebius_log(group, w, zs)
             u = (images - source.center) / source.radius
             log_deriv.append(log_w)
-            # columns: each source basis element, Taylor-expanded at the samples
-            samples.append(norm / source.radius * u[:, None] ** ks)
+            # rows: each source basis element at the samples, to be Taylor-expanded
+            sample = norm[:, None] / source.radius * u ** ks[:, None]
             # inverse target normalization, radial factor and the 1/n of the DFT
             scale.append(target.radius / norm / SAMPLING_RADIUS**ks / n_samp)
-            self.rho_inv.append(rep.inverse_image(w))
-            self.blocks.append((b - 1, w[0] - 1))
-        self.log_deriv = np.array(log_deriv).reshape(len(pairs), n_samp)
-        self.samples = np.array(samples).reshape(len(pairs), n_samp, n_basis)
-        self.scale = np.array(scale).reshape(len(pairs), n_basis, 1)
-        self.layout = (2 * group.m, n_basis, rep.dim)  # (letter, k, v) of a row or a column
+            rho_inv = rep.inverse_image(w)
+            if position[w[0]] >= len(first):
+                # a column of a mirror letter, stored times T = diag((-1)^k) (x) V
+                sample, rho_inv = parity[:, None] * sample, rho_inv @ v
+            samples.append(sample)
+            self.rho_inv.append(rho_inv)
+            self.blocks.append((position[b], position[w[0]]))
+        self.real_images = not any(np.any(rho.imag) for rho in self.rho_inv)
+        if self.real_images:
+            self.rho_inv = [rho.real for rho in self.rho_inv]
+        count = len(self.blocks)
+        self.log_deriv = np.array(log_deriv).reshape(count, n_samp)
+        self.samples = np.array(samples).reshape(count, n_basis, n_samp)
+        self.scale = np.array(scale).reshape(count, n_basis, 1)
+        self.shape = (len(first), n_basis, rep.dim, 2 * group.m, n_basis, rep.dim)
 
-    def matrix(self, s: complex) -> np.ndarray:
-        """A new matrix of the operator at s, laid out as in TransferMatrix."""
-        n_basis = self.layout[1]
+    def rows(self, s: complex) -> np.ndarray:
+        """New rows of the representative letters at s, as in TransferMatrix.
+
+        At real s with real rep images the operator is real: g_w maps R to R
+        with g_w' > 0 there and the disks are centred on R, so each summand is
+        real on R and has real Taylor coefficients. The rows are then a real
+        matrix once the imaginary part of the DFT output is seen to be its
+        rounding, at most n_samp * eps times its largest entry. It is tested
+        before the radial factor SAMPLING_RADIUS^-k, which amplifies that
+        rounding in the high rows (to 5e-2 of the largest entry at N = 128)
+        but not its effect on the determinant, which is similarity-invariant.
+        """
+        n_basis = self.shape[1]
         power = np.exp(s * self.log_deriv)
-        coef = np.fft.fft(power[:, :, None] * self.samples, axis=1)[:, :n_basis] * self.scale
-        out = np.zeros(self.layout * 2, dtype=complex)
+        # (pair, target k, source k), each DFT over the contiguous last axis
+        coef = np.fft.fft(power[:, None, :] * self.samples)[:, :, :n_basis].transpose(0, 2, 1)
+        if self.real_images and complex(s).imag == 0 and np.max(np.abs(coef.imag), initial=0.0) <= (
+                power.shape[1] * np.finfo(float).eps * np.max(np.abs(coef.real), initial=0.0)):
+            coef = coef.real
+        coef = coef * self.scale
+        out = np.zeros(self.shape, dtype=coef.dtype)
         for (b, a), c, rho in zip(self.blocks, coef, self.rho_inv):
             out[b, :, :, a] += c[:, None, :, None] * rho[None, :, None, :]
-        dim = math.prod(self.layout)
-        return out.reshape(dim, dim)
+        return out.reshape(math.prod(self.shape[:3]), math.prod(self.shape[3:]))
 
 
 # rep -> group -> (sorted pairs, n_basis) -> plan; an entry lives as long as
@@ -162,7 +240,9 @@ def assemble_pairs(
     key = (tuple(sorted(pairs)), n_basis)
     if key not in plans:
         plans[key] = _OperatorPlan(group, key[0], rep, n_basis)
-    return TransferMatrix(matrix=plans[key].matrix(s), rep_dim=rep.dim, n_basis=n_basis)
+    plan = plans[key]
+    return TransferMatrix(rows=plan.rows(s), mirror=plan.mirror, letters=plan.letters,
+                          rep_dim=rep.dim, n_basis=n_basis)
 
 
 def assemble_standard(

@@ -14,14 +14,13 @@ import numpy as np
 from .congruence import rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Moebius, Partition, SchottkyGroup, Word
-from .transfer import DEFAULT_N, assemble_refined, assemble_standard
+from .transfer import DEFAULT_N, TransferMatrix, assemble_refined, assemble_standard
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
 CHEB_START_N = 16                  # first Chebyshev proxy degree of a real-axis root search
 CHEB_MAX_N = 256                   # largest proxy degree before ConvergenceError
 CHEB_TAIL_TOL = 1e-13              # converged once the tail coefficients fall below this, relative
 CHEB_DIP = 100.0                   # a |proxy| dip below this many tail bounds may hide a zero
-IM_REL_TOL = 1e-8                  # allowed imaginary part of the determinant at real s
 RECT_SAMPLES_PER_EDGE = 16
 RECT_MAX_REFINEMENTS = 6
 BOUNDARY_FLOOR = 1e-13             # |det| below this on a rectangle edge counts as a zero there
@@ -35,7 +34,7 @@ class ConvergenceError(RuntimeError):
 
 
 class SymmetryError(RuntimeError):
-    """Determinant failed to be numerically real on the real axis."""
+    """Transfer matrix failed to be numerically real on the real axis."""
 
 
 # -- primitive conjugacy classes ------------------------------------------------
@@ -142,6 +141,32 @@ def euler_product(
 # -- Fredholm determinants ------------------------------------------------------
 
 
+def _halves(tm: TransferMatrix) -> np.ndarray:
+    """The blocks of the operator on the even and odd functions of z -> -z,
+    stacked: A + B T and A - B T, formed in tm.rows = [A | B T] (see
+    TransferMatrix), or the whole matrix alone for an operator without the
+    symmetry. det(1 - L) is the product over the blocks. They are real where
+    tm.rows is (see `_OperatorPlan.rows`)."""
+    rows = tm.rows
+    if tm.mirror is None:
+        return rows[None]
+    h = rows.shape[0]
+    a, bt = rows[:, :h], rows[:, h:]
+    a += bt
+    bt *= -2.0
+    bt += a
+    return rows.reshape(h, 2, h).transpose(1, 0, 2)
+
+
+def _shifted_det(blocks: np.ndarray, shift: float) -> complex:
+    """The product of det(shift - M) over the stacked blocks M, in one
+    determinant call; the blocks are left holding shift - M."""
+    np.negative(blocks, out=blocks)
+    diagonal = np.arange(blocks.shape[-1])
+    blocks[:, diagonal, diagonal] += shift
+    return np.prod(np.linalg.det(blocks))
+
+
 def zeta_det(
     group: SchottkyGroup,
     s: complex,
@@ -149,10 +174,7 @@ def zeta_det(
     n_basis: int = DEFAULT_N,
 ) -> complex:
     """det(1 - L_{s,rho}) of the truncated standard transfer operator."""
-    m = assemble_standard(group, s, rep, n_basis).matrix
-    np.negative(m, out=m)
-    np.fill_diagonal(m, 1.0 + m.diagonal())
-    return complex(np.linalg.det(m))
+    return complex(_shifted_det(_halves(assemble_standard(group, s, rep, n_basis)), 1.0))
 
 
 def refined_zeta(
@@ -163,19 +185,17 @@ def refined_zeta(
     n_basis: int = DEFAULT_N,
 ) -> complex:
     """det(1 - L_{tau,s,rho}^2) of the truncated refined transfer operator,
-    factorised as det(1 - L) det(1 + L); both are formed in the matrix of L."""
-    m = assemble_refined(group, partition, s, rep, n_basis).matrix
-    diag = m.diagonal().copy()
-    np.fill_diagonal(m, 1.0 + diag)
-    plus = np.linalg.det(m)
-    np.negative(m, out=m)
-    np.fill_diagonal(m, 1.0 - diag)
-    return complex(np.linalg.det(m) * plus)
+    factorised as det(1 - L_b) det(1 + L_b) over its blocks L_b."""
+    blocks = _halves(assemble_refined(group, partition, s, rep, n_basis))
+    minus = _shifted_det(blocks, 1.0)
+    return complex(minus * _shifted_det(blocks, 2.0))  # 2 - (1 - L_b) = 1 + L_b
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
-    tm = assemble_standard(group, s, None, n_basis)
-    return float(np.max(np.abs(np.linalg.eigvals(tm.matrix))))
+    """Spectral radius of L_s, from its even block alone: the Perron-Frobenius
+    eigenfunction is positive, so it is even under z -> -z."""
+    even = _halves(assemble_standard(group, s, None, n_basis))[0]
+    return float(np.max(np.abs(np.linalg.eigvals(even))))
 
 
 # -- delta ----------------------------------------------------------------------
@@ -264,10 +284,12 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
 
 
 def _real_det(group: SchottkyGroup, rep: UnitaryRep | None, n_basis: int, s: float) -> float:
-    """det(1 - L_{s,rho}) at real s, which must be numerically real."""
+    """det(1 - L_{s,rho}) at real s, where L must be a real matrix (see
+    `_OperatorPlan.rows`): `zeta_det` then takes real determinants and returns
+    an exactly real value. A complex L raises SymmetryError."""
     v = zeta_det(group, s, rep, n_basis)
-    if abs(v.imag) > IM_REL_TOL * (1.0 + abs(v)):
-        raise SymmetryError(f"determinant not numerically real at s={s}: {v}")
+    if v.imag != 0:
+        raise SymmetryError(f"transfer matrix not numerically real at s={s}: det {v}")
     return v.real
 
 

@@ -210,9 +210,14 @@ def test_trace_formula_requires_surjectivity(g2):
 
 def test_helmert_basis_orthonormal():
     for n in (4, 8):
-        h = _helmert_basis(n)
+        h = _helmert_basis(np.ones(n))
         assert np.allclose(h.T @ h, np.eye(n - 1), atol=1e-14)
         assert np.allclose(h.sum(axis=0), 0.0, atol=1e-14)
+        # weighted: the complement of w, as for the orbits of x -> -x
+        w = np.sqrt(np.arange(1, n + 1) % 2 + 1.0)
+        h = _helmert_basis(w)
+        assert np.allclose(h.T @ h, np.eye(n - 1), atol=1e-14)
+        assert np.allclose(w @ h, 0.0, atol=1e-14)
 
 
 def test_rep_lambda_p_unitary(g2):

@@ -29,12 +29,16 @@ def test_no_function_local_package_imports():
 
 def test_transfer_imports_no_character_code():
     # tr lambda_p^0 is written once, in congruence.lambda_p0_traces, and the
-    # primes of a prime sum are certified as one array, by surjective_primes
+    # primes of a prime sum are certified as one array, by surjective_primes;
+    # the x -> -x parity of lambda_p and lambda_p^0 is computed in congruence
+    # and reaches transfer only as the rep's intertwiner
     tree = ast.parse((PACKAGE_DIR / "transfer.py").read_text())
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
     assert names.isdisjoint({"kronecker", "kronecker_over_primes", "divides",
-                             "is_prime", "surjective_mod_p", "closure_size"})
+                             "is_prime", "surjective_mod_p", "closure_size",
+                             "coset_perm", "reduce_mod", "_helmert_basis",
+                             "_negation", "_parity_basis"})
 
 
 def test_arithmetic_imports_no_package_module():

@@ -190,10 +190,18 @@ def test_operator_data_is_built_once_per_rep(g2, monkeypatch):
     count(SchottkyGroup, "word_matrix")
     rep = rep_lambda_p0(g2, 5)
     first = zeta_det(g2, 0.9, rep, n_basis=8)
-    assert calls == {"inverse_image": 12, "word_matrix": 12}
+    # 6 of the 12 standard pairs have a target among the representative
+    # letters 1 and 2; the other 6 are their mirrors under z -> -z
+    assert calls == {"inverse_image": 6, "word_matrix": 6}
     zeta_det(g2, 0.6 + 0.4j, rep, n_basis=8)
     assert zeta_det(g2, 0.9, rep, n_basis=8) == first
-    assert calls == {"inverse_image": 12, "word_matrix": 12}
+    assert calls == {"inverse_image": 6, "word_matrix": 6}
+
+
+def test_no_pairs_make_the_zero_operator(g2):
+    for s in (0.5, 0.5 + 0.5j):
+        tm = assemble_pairs(g2, [], s, n_basis=4)
+        assert tm.matrix.shape == (16, 16) and not tm.matrix.any()
 
 
 def test_assemble_pairs_returns_a_new_matrix(g2, part2_64):
