@@ -51,15 +51,15 @@ class UnitaryRep:
             if np.max(np.abs(self.images[group.bar(a)] - u.conj().T)) > tol:
                 raise ValueError(f"{self.label}: image of letter {group.bar(a)} is not the adjoint of letter {a}")
 
-    def check_intertwiner(self, sigma: tuple[int, ...], tol: float = UNITARITY_TOL) -> None:
+    def check_intertwiner(self, sigma: tuple[int, ...]) -> None:
         """Raise ValueError unless the intertwiner V is an involution with
         V rho(a) V^-1 = rho(sigma(a)) for every letter a."""
         perm, sign = self.intertwiner
         v = sign[:, None] * np.eye(self.dim)[perm]
-        if np.max(np.abs(v @ v - np.eye(self.dim))) > tol:
+        if np.max(np.abs(v @ v - np.eye(self.dim))) > UNITARITY_TOL:
             raise ValueError(f"{self.label}: the intertwiner of z -> -z is not an involution")
         for a, image in self.images.items():
-            if np.max(np.abs(v @ image @ v.T - self.images[sigma[a - 1]])) > tol:
+            if np.max(np.abs(v @ image @ v.T - self.images[sigma[a - 1]])) > UNITARITY_TOL:
                 raise ValueError(f"{self.label}: the intertwiner of z -> -z does not carry "
                                  f"letter {a} to letter {sigma[a - 1]}")
 

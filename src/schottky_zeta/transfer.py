@@ -192,21 +192,17 @@ class _OperatorPlan:
     def rows(self, s: complex) -> np.ndarray:
         """New rows of the representative letters at s, as in TransferMatrix.
 
-        At real s with real rep images the operator is real: g_w maps R to R
-        with g_w' > 0 there and the disks are centred on R, so each summand is
-        real on R and has real Taylor coefficients. The rows are then a real
-        matrix once the imaginary part of the DFT output is seen to be its
-        rounding, at most n_samp * eps times its largest entry. It is tested
-        before the radial factor SAMPLING_RADIUS^-k, which amplifies that
-        rounding in the high rows (to 5e-2 of the largest entry at N = 128)
-        but not its effect on the determinant, which is similarity-invariant.
+        At real s with real rep images the operator is real: the generators
+        are integer matrices, so g_w maps R to R with g_w' > 0 there, and the
+        disks are centred on R, so each summand is real on R and has real
+        Taylor coefficients. The imaginary part of the DFT output is then
+        rounding alone, and the rows are its real part, a real matrix.
         """
         n_basis = self.shape[1]
         power = np.exp(s * self.log_deriv)
         # (pair, target k, source k), each DFT over the contiguous last axis
         coef = np.fft.fft(power[:, None, :] * self.samples)[:, :, :n_basis].transpose(0, 2, 1)
-        if self.real_images and complex(s).imag == 0 and np.max(np.abs(coef.imag), initial=0.0) <= (
-                power.shape[1] * np.finfo(float).eps * np.max(np.abs(coef.real), initial=0.0)):
+        if self.real_images and complex(s).imag == 0:
             coef = coef.real
         coef = coef * self.scale
         out = np.zeros(self.shape, dtype=coef.dtype)

@@ -34,7 +34,12 @@ class ConvergenceError(RuntimeError):
 
 
 class SymmetryError(RuntimeError):
-    """Transfer matrix failed to be numerically real on the real axis."""
+    """A real-axis search met a transfer matrix that is not real at real s.
+
+    The matrix is real there exactly when the rep's letter images are real
+    matrices, so `real_zeros` and `delta_from_zeta` require real images: a
+    rep written in a complex basis raises this even where its determinant
+    is real."""
 
 
 # -- primitive conjugacy classes ------------------------------------------------
@@ -284,12 +289,13 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
 
 
 def _real_det(group: SchottkyGroup, rep: UnitaryRep | None, n_basis: int, s: float) -> float:
-    """det(1 - L_{s,rho}) at real s, where L must be a real matrix (see
-    `_OperatorPlan.rows`): `zeta_det` then takes real determinants and returns
-    an exactly real value. A complex L raises SymmetryError."""
+    """det(1 - L_{s,rho}) at real s, where L must be a real matrix, as it is
+    for a rep with real images (see `_OperatorPlan.rows`): `zeta_det` then
+    takes real determinants and returns an exactly real value. A rep with
+    complex images gives a complex L and raises SymmetryError."""
     v = zeta_det(group, s, rep, n_basis)
     if v.imag != 0:
-        raise SymmetryError(f"transfer matrix not numerically real at s={s}: det {v}")
+        raise SymmetryError(f"transfer matrix not real at s={s} (rep images not real): det {v}")
     return v.real
 
 

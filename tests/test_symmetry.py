@@ -168,3 +168,24 @@ def test_a_wrong_intertwiner_is_rejected_when_the_plan_is_built(g2):
     bad = dataclasses.replace(rep_lambda_p(g2, 5), intertwiner=(np.arange(6), np.ones(6)))
     with pytest.raises(ValueError, match="intertwiner"):
         assemble_standard(g2, 0.3, bad)
+
+
+@pytest.mark.parametrize("p, n_basis", [(None, 128), (5, 128), (47, 8)])
+def test_real_s_drops_only_rounding_from_a_real_image_operator(g2, part2_64, p, n_basis):
+    # s + 1e-300j keeps the same operator to rounding but the complex path:
+    # rows with their imaginary part and a complex LU
+    rep = trivial_rep(g2) if p is None else rep_lambda_p0(g2, p)
+    for s in (0.05, 0.9):
+        real, kept = zeta_det(g2, s, rep, n_basis), zeta_det(g2, s + 1e-300j, rep, n_basis)
+        assert real.imag == 0
+        assert abs(real - kept) <= 1e-12 * abs(real)
+        real = refined_zeta(g2, part2_64, s, rep, n_basis)
+        kept = refined_zeta(g2, part2_64, s + 1e-300j, rep, n_basis)
+        assert real.imag == 0
+        assert abs(real - kept) <= 1e-12 * abs(real)
+
+
+def test_real_zeros_accepts_lambda_p0_at_a_large_prime(g2):
+    # no zero of Z(s, lambda_47^0) in [0.15, 0.3], and no SymmetryError
+    report = real_zeros(g2, rep_lambda_p0(g2, 47), 0.15, 0.3, n_basis=4)
+    assert report.zeros == []
