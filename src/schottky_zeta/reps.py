@@ -42,13 +42,13 @@ class UnitaryRep:
     def inverse_image(self, w: Word) -> np.ndarray:
         return self.image(w).conj().T
 
-    def validate(self, group: SchottkyGroup, tol: float = UNITARITY_TOL) -> None:
+    def validate(self, group: SchottkyGroup) -> None:
         eye = np.eye(self.dim)
         for a in group.alphabet:
             u = self.images[a]
-            if np.max(np.abs(u @ u.conj().T - eye)) > tol:
+            if np.max(np.abs(u @ u.conj().T - eye)) > UNITARITY_TOL:
                 raise ValueError(f"{self.label}: image of letter {a} is not unitary")
-            if np.max(np.abs(self.images[group.bar(a)] - u.conj().T)) > tol:
+            if np.max(np.abs(self.images[group.bar(a)] - u.conj().T)) > UNITARITY_TOL:
                 raise ValueError(f"{self.label}: image of letter {group.bar(a)} is not the adjoint of letter {a}")
 
     def check_intertwiner(self, sigma: tuple[int, ...]) -> None:

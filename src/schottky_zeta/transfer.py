@@ -26,6 +26,10 @@ from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
 
 DEFAULT_N = 16
+# Past N ~ 64 the rows of high k are DFT rounding magnified by
+# SAMPLING_RADIUS^-k: Frobenius norms drift (1.8e-4 relative at N = 128 for
+# the standard gamma_m:2 operator at s = 0.9), determinants and the leading
+# eigenvalue do not (within 3e-15 of N = 32).
 MAX_N = 128
 SAMPLING_RADIUS = 0.75
 DEFAULT_RADIAL_ORDER = 24
@@ -64,49 +68,23 @@ def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Block matrix of a (refined) twisted transfer operator truncation.
+    """A (refined) twisted transfer operator truncation, held as the blocks
+    of `_OperatorPlan.blocks`: with the z -> -z symmetry the operators on the
+    even and on the odd functions, stacked (2, h, h), and otherwise the whole
+    matrix alone (1, n, n). det(1 - L) is the product over the blocks, and
+    `zeta` overwrites them while taking it.
 
     Row/column index layout of `matrix`: (disk letter, basis index k, rep
     index v) packed as ((letter-1) * N + k) * dim_rho + v.
-
-    `rows` holds the rows of the representative letters, in the order and
-    layout of `_OperatorPlan`. With the z -> -z symmetry the operator is
-    [[A, B], [T B T, T A T]] in that order, `mirror` is the signed
-    permutation T = (perm, sign) of one half, (T x)[i] = sign[i] x[perm[i]],
-    and `rows` is [A | B T], so that the blocks of the operator on the even
-    and odd functions are A + B T and A - B T. Without the symmetry `rows` is
-    the whole matrix and `mirror` is None.
     """
 
-    rows: np.ndarray
-    mirror: tuple[np.ndarray, np.ndarray] | None
-    letters: tuple[int, ...]   # the letter of each block of rows and columns, in order
-    rep_dim: int
-    n_basis: int
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+    blocks: np.ndarray
+    plan: _OperatorPlan
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The whole matrix, rebuilt from `rows` by signed permutations."""
-        if self.mirror is None:
-            return self.rows
-        h = self.rows.shape[0]
-        perm, sign = self.mirror
-        a, bt = self.rows[:, :h], self.rows[:, h:]
-        full = np.block([[a, bt[:, perm] * sign],
-                         [sign[:, None] * bt[perm], sign[:, None] * a[np.ix_(perm, perm)] * sign]])
-        if list(self.letters) != sorted(self.letters):
-            n = self.n_basis * self.rep_dim
-            index = (np.argsort(self.letters)[:, None] * n + np.arange(n)).ravel()
-            full = full[np.ix_(index, index)]
-        return full
-
-    def block(self, target: int, source: int) -> np.ndarray:
-        n = self.n_basis * self.rep_dim
-        return self.matrix[(target - 1) * n : target * n, (source - 1) * n : source * n]
+        """The whole matrix, unfolded from the blocks."""
+        return self.plan.unfold(self.blocks)
 
 
 class _OperatorPlan:
@@ -124,8 +102,12 @@ class _OperatorPlan:
     intertwiner V, the operator commutes with U = (sigma swap) (x)
     diag((-1)^k) (x) V (Borthwick and Weich, J. Spectral Theory 6, 2016).
     The letters a < sigma(a) come first, then their mirrors, and only the
-    pairs whose target is one of the first are evaluated: see
-    TransferMatrix. Otherwise every letter is a representative.
+    pairs whose target is one of the first are evaluated. In that order the
+    operator is [[A, B], [T B T, T A T]], `mirror` is the signed permutation
+    T = (perm, sign) of one half, (T x)[i] = sign[i] x[perm[i]], and the
+    evaluated rows are [A | B T]; the blocks of the operator on the even and
+    odd functions are A + B T and A - B T. Otherwise every letter is a
+    representative and the rows are the whole matrix.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
@@ -160,7 +142,7 @@ class _OperatorPlan:
         ks = np.arange(n_basis)
         norm = np.sqrt((ks + 1) / np.pi)                 # basis normalization times r
         log_deriv, samples, scale = [], [], []
-        self.rho_inv, self.blocks = [], []
+        self.rho_inv, self.positions = [], []
         for w, b in pairs:
             if position[b] >= len(first):
                 continue
@@ -179,24 +161,26 @@ class _OperatorPlan:
                 sample, rho_inv = parity[:, None] * sample, rho_inv @ v
             samples.append(sample)
             self.rho_inv.append(rho_inv)
-            self.blocks.append((position[b], position[w[0]]))
+            self.positions.append((position[b], position[w[0]]))
         self.real_images = not any(np.any(rho.imag) for rho in self.rho_inv)
         if self.real_images:
             self.rho_inv = [rho.real for rho in self.rho_inv]
-        count = len(self.blocks)
+        count = len(self.positions)
         self.log_deriv = np.array(log_deriv).reshape(count, n_samp)
         self.samples = np.array(samples).reshape(count, n_basis, n_samp)
         self.scale = np.array(scale).reshape(count, n_basis, 1)
         self.shape = (len(first), n_basis, rep.dim, 2 * group.m, n_basis, rep.dim)
 
-    def rows(self, s: complex) -> np.ndarray:
-        """New rows of the representative letters at s, as in TransferMatrix.
+    def blocks(self, s: complex) -> np.ndarray:
+        """The blocks of the operator at s, as in TransferMatrix: new rows of
+        the representative letters, with [A | B T] folded in place into
+        [A + B T | A - B T].
 
         At real s with real rep images the operator is real: the generators
         are integer matrices, so g_w maps R to R with g_w' > 0 there, and the
         disks are centred on R, so each summand is real on R and has real
         Taylor coefficients. The imaginary part of the DFT output is then
-        rounding alone, and the rows are its real part, a real matrix.
+        rounding alone, and the blocks are its real part, real matrices.
         """
         n_basis = self.shape[1]
         power = np.exp(s * self.log_deriv)
@@ -206,9 +190,32 @@ class _OperatorPlan:
             coef = coef.real
         coef = coef * self.scale
         out = np.zeros(self.shape, dtype=coef.dtype)
-        for (b, a), c, rho in zip(self.blocks, coef, self.rho_inv):
+        for (b, a), c, rho in zip(self.positions, coef, self.rho_inv):
             out[b, :, :, a] += c[:, None, :, None] * rho[None, :, None, :]
-        return out.reshape(math.prod(self.shape[:3]), math.prod(self.shape[3:]))
+        h = math.prod(self.shape[:3])
+        rows = out.reshape(h, math.prod(self.shape[3:]))
+        if self.mirror is None:
+            return rows[None]
+        a, bt = rows[:, :h], rows[:, h:]
+        a += bt
+        bt *= -2.0
+        bt += a
+        return rows.reshape(h, 2, h).transpose(1, 0, 2)
+
+    def unfold(self, blocks: np.ndarray) -> np.ndarray:
+        """The whole matrix, in letter order, of the operator with these
+        blocks: A and B T are their half sum and half difference."""
+        if self.mirror is None:
+            return blocks[0]
+        a, bt = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
+        perm, sign = self.mirror
+        full = np.block([[a, bt[:, perm] * sign],
+                         [sign[:, None] * bt[perm], sign[:, None] * a[np.ix_(perm, perm)] * sign]])
+        if list(self.letters) != sorted(self.letters):
+            n = self.shape[1] * self.shape[2]
+            index = (np.argsort(self.letters)[:, None] * n + np.arange(n)).ravel()
+            full = full[np.ix_(index, index)]
+        return full
 
 
 # rep -> group -> (sorted pairs, n_basis) -> plan; an entry lives as long as
@@ -237,8 +244,7 @@ def assemble_pairs(
     if key not in plans:
         plans[key] = _OperatorPlan(group, key[0], rep, n_basis)
     plan = plans[key]
-    return TransferMatrix(rows=plan.rows(s), mirror=plan.mirror, letters=plan.letters,
-                          rep_dim=rep.dim, n_basis=n_basis)
+    return TransferMatrix(plan.blocks(s), plan)
 
 
 def assemble_standard(
@@ -262,8 +268,10 @@ def assemble_refined(
 
 
 def hs_norm_matrix(tm: TransferMatrix) -> float:
-    """Frobenius norm of the truncation; oracle for the kernel-integral path."""
-    return float(np.linalg.norm(tm.matrix))
+    """Frobenius norm of the truncation; oracle for the kernel-integral path.
+    The blocks are the matrix in an orthonormal basis of even and odd
+    functions, so their norm is its norm."""
+    return float(np.linalg.norm(tm.blocks))
 
 
 # -- Hilbert-Schmidt norm via kernel integrals ---------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from .congruence import rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Moebius, Partition, SchottkyGroup, Word
-from .transfer import DEFAULT_N, TransferMatrix, assemble_refined, assemble_standard
+from .transfer import DEFAULT_N, assemble_refined, assemble_standard
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
 CHEB_START_N = 16                  # first Chebyshev proxy degree of a real-axis root search
@@ -146,26 +146,10 @@ def euler_product(
 # -- Fredholm determinants ------------------------------------------------------
 
 
-def _halves(tm: TransferMatrix) -> np.ndarray:
-    """The blocks of the operator on the even and odd functions of z -> -z,
-    stacked: A + B T and A - B T, formed in tm.rows = [A | B T] (see
-    TransferMatrix), or the whole matrix alone for an operator without the
-    symmetry. det(1 - L) is the product over the blocks. They are real where
-    tm.rows is (see `_OperatorPlan.rows`)."""
-    rows = tm.rows
-    if tm.mirror is None:
-        return rows[None]
-    h = rows.shape[0]
-    a, bt = rows[:, :h], rows[:, h:]
-    a += bt
-    bt *= -2.0
-    bt += a
-    return rows.reshape(h, 2, h).transpose(1, 0, 2)
-
-
 def _shifted_det(blocks: np.ndarray, shift: float) -> complex:
-    """The product of det(shift - M) over the stacked blocks M, in one
-    determinant call; the blocks are left holding shift - M."""
+    """The product of det(shift - M) over the stacked blocks M of a
+    TransferMatrix, in one determinant call; they are real where the operator
+    is (see `_OperatorPlan.blocks`) and are left holding shift - M."""
     np.negative(blocks, out=blocks)
     diagonal = np.arange(blocks.shape[-1])
     blocks[:, diagonal, diagonal] += shift
@@ -179,7 +163,7 @@ def zeta_det(
     n_basis: int = DEFAULT_N,
 ) -> complex:
     """det(1 - L_{s,rho}) of the truncated standard transfer operator."""
-    return complex(_shifted_det(_halves(assemble_standard(group, s, rep, n_basis)), 1.0))
+    return complex(_shifted_det(assemble_standard(group, s, rep, n_basis).blocks, 1.0))
 
 
 def refined_zeta(
@@ -191,7 +175,7 @@ def refined_zeta(
 ) -> complex:
     """det(1 - L_{tau,s,rho}^2) of the truncated refined transfer operator,
     factorised as det(1 - L_b) det(1 + L_b) over its blocks L_b."""
-    blocks = _halves(assemble_refined(group, partition, s, rep, n_basis))
+    blocks = assemble_refined(group, partition, s, rep, n_basis).blocks
     minus = _shifted_det(blocks, 1.0)
     return complex(minus * _shifted_det(blocks, 2.0))  # 2 - (1 - L_b) = 1 + L_b
 
@@ -199,7 +183,7 @@ def refined_zeta(
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
     """Spectral radius of L_s, from its even block alone: the Perron-Frobenius
     eigenfunction is positive, so it is even under z -> -z."""
-    even = _halves(assemble_standard(group, s, None, n_basis))[0]
+    even = assemble_standard(group, s, None, n_basis).blocks[0]
     return float(np.max(np.abs(np.linalg.eigvals(even))))
 
 
@@ -290,7 +274,7 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
 
 def _real_det(group: SchottkyGroup, rep: UnitaryRep | None, n_basis: int, s: float) -> float:
     """det(1 - L_{s,rho}) at real s, where L must be a real matrix, as it is
-    for a rep with real images (see `_OperatorPlan.rows`): `zeta_det` then
+    for a rep with real images (see `_OperatorPlan.blocks`): `zeta_det` then
     takes real determinants and returns an exactly real value. A rep with
     complex images gives a complex L and raises SymmetryError."""
     v = zeta_det(group, s, rep, n_basis)
@@ -470,6 +454,8 @@ def new_eigenvalue_count(
     delta_value: float | None = None,
 ) -> int:
     """Number of zeros of Z(., lambda_p^0) in [sigma, delta], with multiplicity."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if not surjective_mod_p(group, p):
         raise ValueError(f"reduction mod {p} is not surjective; the induced-rep count is invalid")
     d = delta_value if delta_value is not None else delta(group, tol=min(tol, 1e-6), n_basis=n_basis)
@@ -506,8 +492,8 @@ def jensen_bound(
         raise ValueError(f"K must be positive and finite, got {K}")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    if not bound_tol > 0:
-        raise ValueError(f"bound_tol must be positive, got {bound_tol}")
+    if not 0 < bound_tol < math.inf:
+        raise ValueError(f"bound_tol must be positive and finite, got {bound_tol}")
     d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")

@@ -109,11 +109,16 @@ def test_zeros_command(tmp_path):
      "--bound-tol", "0"],
     ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
      "--bound-tol", "-1"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--bound-tol", "inf"],
     ["words", "--group", "gamma_m:2", "--length", "-1"],
     ["words", "--group", "gamma_m:2", "--length", "40"],
     ["trace-check", "--group", "gamma_m:2", "--max-len", "40"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "0", "--delta", "0.274882"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--delta", "nan"],
+    ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--taus", ",", "--delta", "0.274882"],
+    ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "inf"],
+    ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "nan"],
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "nan", "--x", "60"],
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "inf", "--x", "60"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--im", "nan"],
@@ -123,9 +128,11 @@ def test_zeros_command(tmp_path):
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
         "zeta-points-negative", "zeta-points-1", "jensen-theta-samples-0",
         "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative", "jensen-K-inf",
-        "jensen-sigma-nan", "jensen-bound-tol-0", "jensen-bound-tol-negative", "words-length-negative",
+        "jensen-sigma-nan", "jensen-bound-tol-0", "jensen-bound-tol-negative",
+        "jensen-bound-tol-inf", "words-length-negative",
         "words-length-40", "trace-check-max-len-40", "distortion-max-len-0",
-        "distortion-delta-nan", "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan"])
+        "distortion-delta-nan", "distortion-taus-empty", "np-sigma-inf", "np-sigma-nan",
+        "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)

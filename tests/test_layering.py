@@ -41,6 +41,16 @@ def test_transfer_imports_no_character_code():
                              "_negation", "_parity_basis"})
 
 
+def test_zeta_reads_only_the_blocks_of_a_transfer_matrix():
+    # the z -> -z block layout is decided in transfer: zeta takes determinants
+    # and eigenvalues of TransferMatrix.blocks and never forms the blocks itself
+    tree = ast.parse((PACKAGE_DIR / "zeta.py").read_text())
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert attributes.isdisjoint({"rows", "mirror", "letters"})
+    functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_halves" not in functions
+
+
 def test_arithmetic_imports_no_package_module():
     tree = ast.parse((PACKAGE_DIR / "arithmetic.py").read_text())
     assert [node.lineno for node in ast.walk(tree) if _is_package_import(node)] == []

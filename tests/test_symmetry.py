@@ -80,7 +80,7 @@ def test_operator_commutes_with_the_reflection(m, p):
                 assert np.max(np.abs(sign[:, None] * full[np.ix_(perm, perm)] * sign - full)) <= 1e-14
                 # the reduced assembly, rebuilt by sign flips, is the same operator
                 tm = assemble_pairs(group, pairs, s, rep, n_basis=8)
-                assert tm.mirror is not None
+                assert len(tm.blocks) == 2
                 assert np.max(np.abs(tm.matrix - full)) <= 1e-14
 
 
@@ -105,14 +105,29 @@ def test_a_conjugated_group_has_no_involution_and_the_same_zeta(g2, part2_64):
                        ("lambda_p0", 7, 0.25 + 0.4j), ("lambda_p", 7, 0.3),
                        ("lambda_p", 7, 0.25 + 0.4j)):
         rep, one_block = _reps(g2, p)[name], _reps(shifted, p)[name]
-        assert assemble_standard(shifted, s, one_block, n_basis=8).mirror is None
-        assert assemble_standard(g2, s, rep, n_basis=8).mirror is not None
+        assert len(assemble_standard(shifted, s, one_block, n_basis=8).blocks) == 1
+        assert len(assemble_standard(g2, s, rep, n_basis=8).blocks) == 2
         want = zeta_det(shifted, s, one_block)
         assert abs(zeta_det(g2, s, rep) - want) <= 1e-12 * abs(want)
         want = refined_zeta(shifted, shifted.partition(TAU), s, one_block, n_basis=8)
         assert abs(refined_zeta(g2, part2_64, s, rep, n_basis=8) - want) <= 1e-12 * abs(want)
     for s in (0.2, 0.6):
         assert leading_eigenvalue(g2, s) == pytest.approx(leading_eigenvalue(shifted, s), rel=1e-12)
+
+
+def test_blocks_are_the_matrix_in_an_even_and_odd_basis(g2):
+    # two half-size blocks with the involution, the whole matrix without it;
+    # the change of basis is orthogonal, so the Frobenius norm is kept
+    shifted = _conjugate(g2, ((1, 1), (0, 1)))
+    for group, count in ((g2, 2), (shifted, 1)):
+        rep = rep_lambda_p0(group, 5)
+        n = 2 * group.m * 8 * rep.dim
+        for s in (0.3, 0.3 + 0.5j):
+            tm = assemble_standard(group, s, rep, n_basis=8)
+            assert tm.blocks.shape == (count, n // count, n // count)
+            assert np.isrealobj(tm.blocks) == (s == 0.3)
+            want = np.linalg.norm(tm.matrix)
+            assert np.linalg.norm(tm.blocks) == pytest.approx(want, rel=1e-14)
 
 
 def test_letters_are_reordered_when_the_involution_is_not_bar():
@@ -128,7 +143,7 @@ def test_letters_are_reordered_when_the_involution_is_not_bar():
     rep = rep_lambda_p0(group, 5)
     for s in (0.4, 0.3 + 0.5j):
         tm = assemble_standard(group, s, rep, n_basis=8)
-        assert tm.letters == (1, 3, 2, 4)
+        assert tm.plan.letters == (1, 3, 2, 4)
         full = assemble_standard(group, s, _unreduced(rep), n_basis=8).matrix
         assert np.max(np.abs(tm.matrix - full)) <= 1e-14
         want = zeta_det(shifted, s, rep_lambda_p0(shifted, 5))

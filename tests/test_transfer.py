@@ -57,7 +57,7 @@ def test_standard_block_structure(g2):
     for b in g2.alphabet:
         # the block from disk bar(b) into disk b must vanish: no admissible word
         src = g2.bar(b)
-        assert np.all(tm.block(b, src) == 0.0)
+        assert np.all(tm.matrix[(b - 1) * 6 : b * 6, (src - 1) * 6 : src * 6] == 0.0)
 
 
 def test_word_set_iteration_identity(g2):
