@@ -77,12 +77,18 @@ def kronecker_over_primes(d: int, primes: np.ndarray) -> np.ndarray:
 
     On primes, (d/p) depends only on p mod 4|d| (Davenport, Multiplicative
     Number Theory, ch. 5): odd p by Jacobi reciprocity, and p = 2 is the one
-    prime in its class.
+    prime in its class. When the period is at most the number of primes, the
+    symbols of all its residues form a table indexed by p mod 4|d|; otherwise
+    each residue class present gets one symbol.
     """
     if d == 0:
         raise ValueError("top argument d must be nonzero")
     primes = np.asarray(primes, dtype=np.int64)
     period = 4 * abs(d)
+    if period <= primes.size:
+        # no prime is 0 mod 4|d|
+        table = np.array([0] + [kronecker(d, r) for r in range(1, period)], dtype=np.int64)
+        return table[primes % period]
     # a period past int64 exceeds every prime, which is then its own residue
     residues = primes % period if period < 2**63 else primes
     classes, where = np.unique(residues, return_inverse=True)
@@ -102,6 +108,9 @@ def divides(n: int, primes: np.ndarray) -> np.ndarray:
 
 def _sieve(lo: float, hi: float) -> np.ndarray:
     """Increasing int64 array of the primes in (lo, hi], segmented numpy sieve."""
+    for name, bound in (("hi", hi), ("lo", lo)):
+        if not math.isfinite(bound):
+            raise ValueError(f"sieve bound {name} = {bound} is not finite")
     if hi > SIEVE_CAP:
         raise SieveCapError(f"sieve bound {hi} exceeds cap {SIEVE_CAP}")
     hi_i = math.floor(hi)
@@ -140,7 +149,7 @@ def dyadic_primes(x: float) -> tuple[np.ndarray, np.ndarray]:
     each. The logs are math.log's: np.log misses it in the last bit on some
     primes (12 of the 168k primes at x = 5e6)."""
     primes = _sieve(x / 2, x)
-    return primes, np.fromiter(map(math.log, primes), dtype=float, count=primes.size)
+    return primes, np.fromiter(map(math.log, primes.tolist()), dtype=float, count=primes.size)
 
 
 def log_weighted_sum(logs: np.ndarray, values: np.ndarray) -> float:

@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .arithmetic import char_sums, primes_between
 from .congruence import (
@@ -192,17 +194,22 @@ def cmd_trace_check(args, outdir: Path) -> dict:
     group = load_group(args.group)
     hyperbolic = [g for g in map(group.word_matrix, group.words_up_to(args.max_len))
                   if abs(g.trace()) > 2]
+    if not hyperbolic:
+        raise ValueError(f"no hyperbolic word of length <= {args.max_len} to check")
+    primes = primes_between(args.pmin - 1, args.pmax)
+    if not primes:
+        raise ValueError(f"no prime in [--pmin, --pmax] = [{args.pmin}, {args.pmax}]")
     results = []
-    for p in primes_between(args.pmin - 1, args.pmax):
+    for p in primes:
         closure = closure_size(group, p)
         surjective = closure == p * (p * p - 1)
         results.append({"p": p, "surjective": surjective, "closure_size": closure,
                         "words_checked": len(hyperbolic) if surjective else 0, "mismatches": 0})
     checked = [r for r in results if r["surjective"]]
-    for g in hyperbolic:
-        formula = lambda_p0_traces(g, [r["p"] for r in checked]).tolist()
-        for r, t in zip(checked, formula):
-            r["mismatches"] += t != trace_bruteforce(group, g, r["p"])
+    formula = np.array([lambda_p0_traces(g, [r["p"] for r in checked]) for g in hyperbolic])
+    for j, r in enumerate(checked):
+        brute = trace_bruteforce(group, hyperbolic, r["p"])
+        r["mismatches"] = int(np.count_nonzero(formula[:, j] != brute))
     rows = [[r["p"], int(r["surjective"]), r["closure_size"], r["words_checked"], r["mismatches"]]
             for r in results]
     _write_csv(outdir / "trace_check.csv",

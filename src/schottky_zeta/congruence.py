@@ -20,6 +20,7 @@ CLOSURE_CAP = 10**7  # guards only the BFS fallback of closure_size
 # 11 <= p < 2e7 is certified by length 5.
 WITNESS_LEN = 8
 WITNESS_WORDS = 10**4
+LINE_BLOCK = 2**16  # entries of one block of images of `_line_images`
 
 
 class SurjectivityError(ValueError):
@@ -139,26 +140,60 @@ def surjective_primes(group: SchottkyGroup, primes: np.ndarray) -> np.ndarray:
     return onto
 
 
+@lru_cache(maxsize=16)
+def _fermat_inverses(p: int) -> np.ndarray:
+    """x^(p-2) mod p for x = 0, ..., p - 1, the inverse of x when p is prime,
+    by square-and-multiply over one int64 array (p^2 < 2^62)."""
+    base = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    inv.flags.writeable = False  # cached: every caller shares it
+    return inv
+
+
+def _line_images(gs, p: int):
+    """The right action x -> x g of each element g of gs on P^1(F_p), with the
+    line (1:x) indexed by x < p and (0:1) by p: yields the int64 arrays of the
+    images, one row per element, in blocks of at most LINE_BLOCK entries.
+
+    (u:v) g = (ua + vc : ub + vd), and the image of (1:x) is (b + xd)/(a + xc)
+    where that denominator is non-zero, else (0:1). The entries are reduced
+    mod p as exact integers first, since long words pass int64."""
+    if not 2 <= p < 2**31:
+        raise ValueError(f"modulus must be in [2, 2^31), got {p}")
+    rows = np.array([(g.a, g.b, g.c, g.d) for g in gs], dtype=object).reshape(-1, 4)
+    rows = (rows % p).astype(np.int64)
+    inv = _fermat_inverses(p)
+    x = np.arange(p + 1)
+    u, v = (x < p).astype(np.int64), np.where(x < p, x, 1)  # (u:v) = (1:x), then (0:1)
+    step = max(1, LINE_BLOCK // (p + 1))
+    for lo in range(0, len(rows), step):
+        a, b, c, d = rows[lo : lo + step, :, None].transpose(1, 0, 2)
+        num = (b * u + d * v) % p
+        den = (a * u + c * v) % p
+        yield np.where(den == 0, p, num * inv[den] % p)
+
+
 def coset_perm(g: Moebius, p: int) -> tuple[int, ...]:
     """Permutation of the projective line P^1(F_p) under the right action
-    x -> x g, with the line (1:x) indexed by x < p and (0:1) by p.
-
-    (1:x) g = (a + xc : b + xd), so the action is the Moebius map
-    x -> (b + xd) / (a + xc) of g^T: a zero denominator gives p, and p maps
-    to d/c."""
-    (a, b), (c, d) = reduce_mod(g, p)
-    x = np.arange(p + 1)
-    num = np.where(x < p, b + x * d, d) % p
-    den = np.where(x < p, a + x * c, c) % p
-    inv = np.frompyfunc(pow, 3, 1)(den, p - 2, p).astype(np.int64)  # 1/den by Fermat
-    return tuple(np.where(den == 0, p, num * inv % p).tolist())
+    x -> x g, with the line (1:x) indexed by x < p and (0:1) by p: the one
+    row of `_line_images`."""
+    return tuple(next(_line_images([g], p))[0].tolist())
 
 
-def trace_bruteforce(group: SchottkyGroup, g: Moebius, p: int) -> int:
-    """tr(lambda_p^0(g)) as (fixed lines of the coset permutation) - 1."""
+def trace_bruteforce(group: SchottkyGroup, gs, p: int) -> np.ndarray:
+    """tr(lambda_p^0(g)) for each element g of the sequence gs, as (fixed
+    lines of its coset permutation) - 1: an int64 array."""
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
-    return int(np.count_nonzero(np.array(coset_perm(g, p)) == np.arange(p + 1))) - 1
+    x = np.arange(p + 1)
+    fixed = [np.count_nonzero(images == x, axis=1) for images in _line_images(gs, p)]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *fixed]) - 1
 
 
 def _is_pm_identity(g: Moebius, q: int) -> bool:

@@ -335,10 +335,11 @@ def pair_integrals(
 
 def _trace_pair_sum(rep: UnitaryRep, ints: dict[tuple[Word, Word], complex]) -> float:
     """Re sum of tr(rho(g_a)^{-1} rho(g_b)) I_{a,b} over the pair integrals,
-    in their order."""
+    in their order, with rho(g_a)^{-1} = rho(g_a)^*; one image per distinct word."""
+    images = {w: rep.image(w) for w in dict.fromkeys(w for pair in ints for w in pair)}
     acc = 0.0 + 0.0j
     for (wa, wb), val in ints.items():
-        acc += complex(np.trace(rep.inverse_image(wa) @ rep.image(wb))) * val
+        acc += complex(np.trace(images[wa].conj().T @ images[wb])) * val
     return acc.real
 
 

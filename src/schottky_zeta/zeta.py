@@ -5,7 +5,6 @@ on zero counts of the congruence twists."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .congruence import rep_lambda_p0, surjective_mod_p
 from .reps import UnitaryRep, trivial_rep
-from .schottky import Moebius, Partition, SchottkyGroup, Word
+from .schottky import Partition, SchottkyGroup, Word
 from .transfer import DEFAULT_N, assemble_refined, assemble_standard
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
@@ -59,44 +58,77 @@ class PrimitiveClass:
     length: float
 
 
+def _lyndon_levels(group: SchottkyGroup, len_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The primitive classes of each word length n = 1, ..., len_max, as the
+    pair (words, traces): the (K, n) array of their representatives in
+    lexicographic order and their K exact |traces|, int64 or, past 2^62,
+    Python ints in an object array. See `primitive_classes`."""
+    if len_max < 1:
+        return []
+    group.check_word_cap(len_max)
+    letters = np.array(group.alphabet)
+    bar = np.array([0] + [group.bar(a) for a in letters])  # indexed by letter
+    gens = np.array([(g.a, g.b, g.c, g.d) for g in map(group.generator, letters)], dtype=object)
+    gen_max = int(np.abs(gens).max())
+    if gen_max < 2**62:
+        gens = gens.astype(np.int64)
+    # the prenecklaces of the current length: words, periods, matrices (a, b, c, d)
+    words, periods, rows = letters[:, None], np.ones(letters.size, dtype=np.int64), gens
+    levels = []
+    for n in range(1, len_max + 1):
+        if n > 1:
+            first = words[np.arange(len(words)), n - 1 - periods]
+            # every letter b >= first that does not cancel the last letter, in
+            # (parent, b) order, which keeps the level lexicographic
+            ok = (letters >= first[:, None]) & (letters != bar[words[:, -1]][:, None])
+            parent, b = np.nonzero(ok)
+            b = letters[b]
+            periods = np.where(b == first[parent], periods[parent], n)
+            words = np.hstack([words[parent], b[:, None]])
+            # a product's entries are at most 2 max|entry| max|generator entry|
+            if rows.dtype != object and 2 * int(np.abs(rows).max()) * gen_max >= 2**62:
+                rows, gens = rows.astype(object), gens.astype(object)
+            p, g = rows[parent], gens[b - 1]
+            rows = np.stack([p[:, 0] * g[:, 0] + p[:, 1] * g[:, 2],
+                             p[:, 0] * g[:, 1] + p[:, 1] * g[:, 3],
+                             p[:, 2] * g[:, 0] + p[:, 3] * g[:, 2],
+                             p[:, 2] * g[:, 1] + p[:, 3] * g[:, 3]], axis=1)
+        lyndon = periods == n
+        if n > 1:
+            lyndon &= words[:, -1] != bar[words[:, 0]]
+        traces = np.abs(rows[lyndon, 0] + rows[lyndon, 3])
+        small = np.flatnonzero(traces <= 2)
+        if small.size:
+            w = tuple(words[lyndon][small[0]].tolist())
+            raise ConvergenceError(f"non-hyperbolic class {w} with |trace| {traces[small[0]]}")
+        levels.append((words[lyndon], traces))
+    return levels
+
+
+def _lengths(traces: np.ndarray) -> np.ndarray:
+    """The geodesic lengths 2 arccosh(|tr| / 2), by math.acosh."""
+    return np.array([2.0 * math.acosh(t / 2.0) for t in traces.tolist()], dtype=float)
+
+
 def primitive_classes(group: SchottkyGroup, len_max: int) -> list[PrimitiveClass]:
     """One representative per primitive class, word length <= len_max, by
     length and then lexicographically: the cyclically reduced words that are
     Lyndon words, strictly below each of their nontrivial rotations (a power
     equals one of its rotations, so these are primitive).
 
-    A depth-first FKM prenecklace search (Ruskey, Savage and Wang, J.
-    Algorithms 13, 1992) over reduced words finds them: a prenecklace w of
-    length n and period p extends by each letter b >= w[n - p], keeping the
-    period p when b equals that letter and taking n + 1 above it, and it is a
-    Lyndon word when its period is its length. Each search node multiplies its
-    parent's exact matrix by one generator.
+    The FKM prenecklace step (Ruskey, Savage and Wang, J. Algorithms 13,
+    1992), taken one length at a time over arrays, finds them: a prenecklace
+    w of length n and period p extends by each letter b >= w[n - p] other
+    than bar(w[-1]), keeping the period p when b equals that letter and
+    taking n + 1 above it, and it is a Lyndon word when its period is its
+    length. The children are listed in (parent, letter) order, so each length
+    stays lexicographic. Each level multiplies its parents' exact matrices by
+    one generator, in int64 until a level's entries could pass 2^62 and in
+    Python integers from there on.
     """
-    if len_max >= 1:
-        group.check_word_cap(len_max)
-    found: list[list[tuple[Word, int]]] = [[] for _ in range(len_max + 1)]
-
-    def extend(w: Word, period: int, g: Moebius) -> None:
-        n = len(w)
-        if period == n and (n == 1 or w[-1] != group.bar(w[0])):
-            found[n].append((w, g.trace()))
-        if n == len_max:
-            return
-        first = w[n - period]
-        for b in range(first, 2 * group.m + 1):
-            if b != group.bar(w[-1]):
-                extend(w + (b,), period if b == first else n + 1, g @ group.generator(b))
-
-    for a in group.alphabet:
-        extend((a,), 1, group.generator(a))
-    out = []
-    for words in found:  # each length's words were found in lexicographic order
-        for w, t in words:
-            tr = abs(t)
-            if tr <= 2:
-                raise ConvergenceError(f"non-hyperbolic class {w} with |trace| {tr}")
-            out.append(PrimitiveClass(word=w, trace=tr, length=2.0 * math.acosh(tr / 2.0)))
-    return out
+    return [PrimitiveClass(word=tuple(w), trace=t, length=ell)
+            for words, traces in _lyndon_levels(group, len_max)
+            for w, t, ell in zip(words.tolist(), traces.tolist(), _lengths(traces).tolist())]
 
 
 def euler_product(
@@ -113,9 +145,9 @@ def euler_product(
     """
     rep = rep if rep is not None else trivial_rep(group)
     sigma = s.real
-    classes = primitive_classes(group, len_max)
-    if classes:
-        ell_min = min(c.length for c in classes if len(c.word) == 1)
+    levels = [(words, _lengths(traces)) for words, traces in _lyndon_levels(group, len_max)]
+    if levels:
+        ell_min = levels[0][1].min()
         q = (2 * group.m - 1) * math.exp(-sigma * ell_min)
         if q >= 1 or 2 * group.m * q ** (len_max + 1) / (1 - q) > tail_tol:
             raise ConvergenceError(
@@ -124,10 +156,8 @@ def euler_product(
     total = 1.0 + 0.0j
     eye = np.eye(rep.dim, dtype=complex)
     images = np.array([rep.images[a] for a in group.alphabet], dtype=complex)
-    for _, same_length in itertools.groupby(classes, key=lambda c: len(c.word)):
-        batch = list(same_length)
-        indices = np.array([c.word for c in batch]) - 1
-        lengths = np.array([c.length for c in batch])
+    for words, lengths in levels:
+        indices = words - 1
         rho = images[indices[:, 0]]  # the letter images, multiplied left to right
         for j in range(1, indices.shape[1]):
             rho = rho @ images[indices[:, j]]

@@ -69,7 +69,7 @@ def test_criterion_01_trace_formula_equivalence(g2, words6, matrices6):
             if abs(g.trace()) <= 2:
                 continue
             checked += 1
-            if trace_formula(g2, g, p) != trace_bruteforce(g2, g, p):
+            if trace_formula(g2, g, p) != trace_bruteforce(g2, [g], p)[0]:
                 mismatches += 1
     report(1, "trace-formula-equivalence", checked > 10000 and mismatches == 0,
            f"{mismatches} mismatches over {checked} word-prime pairs")

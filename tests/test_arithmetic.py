@@ -75,6 +75,10 @@ def test_kronecker_over_primes_matches_one_symbol_per_prime():
     primes = primes_between(0, 5000)
     for d in [*range(-64, 0), *range(1, 65), 142 * 142 - 4, -(10**9 + 7), 2**40, 3**50 - 4]:
         assert kronecker_over_primes(d, primes).tolist() == [kronecker(d, p) for p in primes], d
+    # the table of a period's symbols from 4|d| <= #primes on, one symbol per class below
+    for count in (3, 19, 20, 21):
+        assert kronecker_over_primes(5, primes[:count]).tolist() == [
+            kronecker(5, p) for p in primes[:count]], count
     with pytest.raises(ValueError):
         kronecker_over_primes(0, primes)
 
@@ -180,6 +184,17 @@ def test_char_sum_rejects_bad_input():
         char_sum(0, 100.0)
     with pytest.raises(ValueError):
         char_sum(5, 2.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_the_sieve_rejects_a_bound_that_is_not_finite(g2, x):
+    message = f"sieve bound hi = {x} is not finite"
+    with pytest.raises(ValueError, match=message):
+        char_sum(5, x)
+    with pytest.raises(ValueError, match=message):
+        hs_prime_sum(g2, 2.0**-6, 0.9, x, mode="decomposed")
+    with pytest.raises(ValueError, match=f"sieve bound lo = {-x} is not finite"):
+        primes_between(-x, 100)
 
 
 def test_hs_prime_sum_two_paths(g2):

@@ -114,6 +114,11 @@ def test_zeros_command(tmp_path):
     ["words", "--group", "gamma_m:2", "--length", "-1"],
     ["words", "--group", "gamma_m:2", "--length", "40"],
     ["trace-check", "--group", "gamma_m:2", "--max-len", "40"],
+    ["trace-check", "--group", "gamma_m:2", "--max-len", "0"],
+    ["trace-check", "--group", "gamma_m:2", "--pmin", "50", "--pmax", "13"],
+    ["trace-check", "--group", "gamma_m:2", "--pmin", "24", "--pmax", "28"],
+    ["charsum", "--d", "5", "--x", "nan"],
+    ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--x", "nan"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "0", "--delta", "0.274882"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--delta", "nan"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--taus", ",", "--delta", "0.274882"],
@@ -130,7 +135,9 @@ def test_zeros_command(tmp_path):
         "jensen-theta-samples-negative", "jensen-K-0", "jensen-K-negative", "jensen-K-inf",
         "jensen-sigma-nan", "jensen-bound-tol-0", "jensen-bound-tol-negative",
         "jensen-bound-tol-inf", "words-length-negative",
-        "words-length-40", "trace-check-max-len-40", "distortion-max-len-0",
+        "words-length-40", "trace-check-max-len-40", "trace-check-max-len-0",
+        "trace-check-pmin-above-pmax", "trace-check-no-prime-in-range", "charsum-x-nan",
+        "hs-sum-x-nan", "distortion-max-len-0",
         "distortion-delta-nan", "distortion-taus-empty", "np-sigma-inf", "np-sigma-nan",
         "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):

@@ -186,7 +186,7 @@ def test_trace_formula_vs_bruteforce_sample(g2):
     for p in (5, 7, 13):
         for w in [(1,), (2,), (1, 2), (2, 1), (1, 2, 1), (3, 2, 1)]:
             g = g2.word_matrix(w)
-            assert trace_formula(g2, g, p) == trace_bruteforce(g2, g, p)
+            assert trace_formula(g2, g, p) == trace_bruteforce(g2, [g], p)[0]
 
 
 def test_trace_formula_kronecker_value(g2):

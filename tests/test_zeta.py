@@ -19,7 +19,7 @@ from schottky_zeta import (
 )
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
-from schottky_zeta.schottky import SchottkyGroup
+from schottky_zeta.schottky import Disk, Moebius, SchottkyGroup
 from schottky_zeta.transfer import assemble_refined
 from schottky_zeta.zeta import (
     ConvergenceError,
@@ -89,6 +89,20 @@ def classes2_12(g2):
 def test_primitive_classes_match_the_rotation_filter(m, len_max):
     group = gamma_m(m)
     assert as_tuples(primitive_classes(group, len_max)) == rotation_filter_classes(group, len_max)
+
+
+def test_primitive_classes_are_exact_past_int64():
+    # g = [[a, a^2 - 1], [1, a]] with a = 2^21: length-3 traces reach about (2a)^3 = 2^66,
+    # so int64 products would wrap. The disks only pair the letters: at this size
+    # validate_group cannot resolve their boundaries in floating point.
+    a = (2**21, 2**21 + 8)
+    gens = [Moebius(x, x * x - 1, 1, x) for x in a]
+    group = SchottkyGroup(m=2, disks=tuple(Disk(c, 1.0) for c in (*a, -a[0], -a[1])),
+                          generators=(*gens, *(g.inverse() for g in gens)), label="large")
+    classes = primitive_classes(group, 3)
+    assert max(c.trace for c in classes) > 2**63
+    assert [c.trace for c in classes] == [abs(group.word_matrix(c.word).trace()) for c in classes]
+    assert as_tuples(classes) == rotation_filter_classes(group, 3)
 
 
 def test_primitive_classes_match_the_rotation_filter_at_length_12(g2, classes2_12):
