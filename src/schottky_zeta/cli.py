@@ -196,16 +196,16 @@ def cmd_trace_check(args, outdir: Path) -> dict:
                   if abs(g.trace()) > 2]
     if not hyperbolic:
         raise ValueError(f"no hyperbolic word of length <= {args.max_len} to check")
-    primes = primes_between(args.pmin - 1, args.pmax)
-    if not primes:
-        raise ValueError(f"no prime in [--pmin, --pmax] = [{args.pmin}, {args.pmax}]")
     results = []
-    for p in primes:
+    for p in primes_between(args.pmin - 1, args.pmax):
         closure = closure_size(group, p)
         surjective = closure == p * (p * p - 1)
         results.append({"p": p, "surjective": surjective, "closure_size": closure,
                         "words_checked": len(hyperbolic) if surjective else 0, "mismatches": 0})
     checked = [r for r in results if r["surjective"]]
+    if not checked:
+        raise ValueError(f"no prime in [--pmin, --pmax] = [{args.pmin}, {args.pmax}] "
+                         "where the reduction is onto SL_2(F_p)")
     formula = np.array([lambda_p0_traces(g, [r["p"] for r in checked]) for g in hyperbolic])
     for j, r in enumerate(checked):
         brute = trace_bruteforce(group, hyperbolic, r["p"])

@@ -13,7 +13,7 @@ from .arithmetic import divides, is_prime, kronecker_over_primes
 from .reps import UnitaryRep
 from .schottky import Moebius, SchottkyGroup
 
-CLOSURE_CAP = 10**7  # guards only the BFS fallback of closure_size
+CLOSURE_CAP = 10**7  # elements the BFS fallback of closure_size may enumerate
 # The trace witnesses of closure_size are searched among the reduced words of
 # length <= WITNESS_LEN, stopping at the first length with more than
 # WITNESS_WORDS words. For gamma_m:2 that is length 8; every prime
@@ -37,10 +37,10 @@ def reduce_mod(g: Moebius, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _closure_size(group: SchottkyGroup, p: int) -> int:
     """Size of the subgroup of SL_2(F_p) generated by the reduced generators,
     by a BFS over its elements: the fallback of `closure_size`, and its oracle
-    in the tests. Cached, since the BFS holds up to p(p^2-1) matrices.
+    in the tests. Cached; it stops past CLOSURE_CAP elements, counted per level.
     """
     target = p * (p * p - 1)
-    if target > CLOSURE_CAP:
+    if target > CLOSURE_CAP and not is_prime(p):
         raise SurjectivityError(f"|SL_2(F_{p})| = {target} exceeds enumeration cap {CLOSURE_CAP}")
     gens = [reduce_mod(group.generator(a), p) for a in group.alphabet]
     gens = [(g[0][0], g[0][1], g[1][0], g[1][1]) for g in gens]
@@ -63,6 +63,8 @@ def _closure_size(group: SchottkyGroup, p: int) -> int:
         frontier = nxt
         if len(seen) > target:
             raise SurjectivityError("closure exceeded the group order; p is not prime?")
+        if len(seen) > CLOSURE_CAP:
+            raise SurjectivityError(f"closure mod {p} exceeds enumeration cap {CLOSURE_CAP}")
     return len(seen)
 
 
@@ -120,7 +122,7 @@ def closure_size(group: SchottkyGroup, p: int) -> int:
     all of SL_2(F_p) and this is p(p^2 - 1).
     Otherwise (p < 5; p = 5 or 7, where every square lies in {0, 1, 2, 4}, so
     no witness exists; composite p; p >= 2^31, past `divides`; a reduction not
-    onto) it is the BFS size `_closure_size`, which CLOSURE_CAP caps.
+    onto) it is the BFS size `_closure_size`, capped at CLOSURE_CAP elements.
     """
     if p < 2**31 and is_prime(p) and _witnessed(group, np.array([p]))[0]:
         return p * (p * p - 1)

@@ -3,8 +3,10 @@
 Per disk D_b the orthonormal basis is e_k(z) = sqrt((k+1)/pi) r_b^{-1}
 ((z-c_b)/r_b)^k, k < N, so the Frobenius norm of the truncated matrix is the
 Hilbert-Schmidt norm of the truncated operator. Entries are extracted by
-sampling each summand on an interior circle and taking discrete Fourier
-coefficients; uniform contraction makes this spectrally accurate.
+sampling each summand on the boundary circle of its target disk D_b and taking
+discrete Fourier coefficients. g_w maps the closed D_b into the open D_{w[0]}
+and has its pole in D_{bar(w[-1])} != D_b, so each summand is holomorphic on a
+neighbourhood of the closed disk and this is spectrally accurate.
 
 Hilbert-Schmidt norms are also computed from Bergman-kernel integrals, per
 representation and summed over primes p ~ x for lambda_p^0.
@@ -26,12 +28,7 @@ from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
 
 DEFAULT_N = 16
-# Past N ~ 64 the rows of high k are DFT rounding magnified by
-# SAMPLING_RADIUS^-k: Frobenius norms drift (1.8e-4 relative at N = 128 for
-# the standard gamma_m:2 operator at s = 0.9), determinants and the leading
-# eigenvalue do not (within 3e-15 of N = 32).
-MAX_N = 128
-SAMPLING_RADIUS = 0.75
+MAX_N = 128  # bounds each pair's N x 4N samples and the dense blocks
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
 HS_CONVERGENCE_TOL = 1e-6  # agreement required between the HS integral and its doubled-order rerun
@@ -147,14 +144,14 @@ class _OperatorPlan:
             if position[b] >= len(first):
                 continue
             target, source = group.disk(b), group.disk(w[0])
-            zs = target.center + SAMPLING_RADIUS * target.radius * circle
+            zs = target.center + target.radius * circle
             images, log_w = _moebius_log(group, w, zs)
             u = (images - source.center) / source.radius
             log_deriv.append(log_w)
             # rows: each source basis element at the samples, to be Taylor-expanded
             sample = norm[:, None] / source.radius * u ** ks[:, None]
-            # inverse target normalization, radial factor and the 1/n of the DFT
-            scale.append(target.radius / norm / SAMPLING_RADIUS**ks / n_samp)
+            # inverse target normalization and the 1/n of the DFT
+            scale.append(target.radius / norm / n_samp)
             rho_inv = rep.inverse_image(w)
             if position[w[0]] >= len(first):
                 # a column of a mirror letter, stored times T = diag((-1)^k) (x) V

@@ -117,6 +117,7 @@ def test_zeros_command(tmp_path):
     ["trace-check", "--group", "gamma_m:2", "--max-len", "0"],
     ["trace-check", "--group", "gamma_m:2", "--pmin", "50", "--pmax", "13"],
     ["trace-check", "--group", "gamma_m:2", "--pmin", "24", "--pmax", "28"],
+    ["trace-check", "--group", "gamma_m:1", "--max-len", "2", "--pmin", "5", "--pmax", "47"],
     ["charsum", "--d", "5", "--x", "nan"],
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--x", "nan"],
     ["distortion", "--group", "gamma_m:2", "--max-len", "0", "--delta", "0.274882"],
@@ -136,7 +137,8 @@ def test_zeros_command(tmp_path):
         "jensen-sigma-nan", "jensen-bound-tol-0", "jensen-bound-tol-negative",
         "jensen-bound-tol-inf", "words-length-negative",
         "words-length-40", "trace-check-max-len-40", "trace-check-max-len-0",
-        "trace-check-pmin-above-pmax", "trace-check-no-prime-in-range", "charsum-x-nan",
+        "trace-check-pmin-above-pmax", "trace-check-no-prime-in-range",
+        "trace-check-no-surjective-prime", "charsum-x-nan",
         "hs-sum-x-nan", "distortion-max-len-0",
         "distortion-delta-nan", "distortion-taus-empty", "np-sigma-inf", "np-sigma-nan",
         "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan"])
@@ -260,7 +262,7 @@ def test_trace_check_runs_each_closure_once(tmp_path):
 
 
 def test_hs_sum_decomposed_reaches_large_x(tmp_path):
-    # |SL_2(F_p)| for p ~ 1e5 is far past CLOSURE_CAP: only trace witnesses get here
+    # the BFS over SL_2(F_p), p ~ 1e5, would pass CLOSURE_CAP: only trace witnesses get here
     assert run(tmp_path, "hs-sum", "--group", "gamma_m:2", "--tau", "0.015625",
                "--mode", "decomposed", "--x", "1e5") == 0
     rep = read_json(tmp_path, "hs_sum.json")["report"]

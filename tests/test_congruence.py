@@ -141,7 +141,7 @@ def test_witnessed_matches_the_scalar_euler_criterion(m):
 
 def test_a_prime_without_witnesses_up_to_length_4_is_certified_by_length_5(g2):
     # at p = 699469 every word of length <= 4 has t^2 - 4 a square or u in {0, 1, 2, 4};
-    # |SL_2(F_p)| is far past CLOSURE_CAP, so the BFS fallback would raise
+    # the BFS fallback would enumerate past CLOSURE_CAP elements and raise
     p = 699469
     assert closure_size(g2, p) == p * (p * p - 1)
     traces = {g2.word_matrix(w).trace() for w in g2.words_up_to(4) if w}
@@ -159,6 +159,33 @@ def test_a_cyclic_group_and_p_below_5_go_to_the_bfs():
     non_surjective = [(m, p) for m, p in cases if not surjective_mod_p(gamma_m(m), p)]
     # gamma_m:3 and gamma_m:4 do reduce onto SL_2(F_3)
     assert non_surjective == [(m, p) for m, p in cases if m <= 2 or p == 2]
+
+
+def _order_mod(g, p):
+    """The order of the integer 2x2 matrix g, given by rows, mod p: by powering."""
+    x, n = tuple(tuple(v % p for v in row) for row in g), 1
+    while x != ((1, 0), (0, 1)):
+        x = tuple(tuple((r[0] * g[0][j] + r[1] * g[1][j]) % p for j in range(2)) for r in x)
+        n += 1
+    return n
+
+
+def test_a_cyclic_reduction_is_not_onto_at_any_prime():
+    # the BFS counts the elements it enumerates, not |SL_2(F_p)|, against
+    # CLOSURE_CAP: gamma_m(1) reduces to the cyclic group <g_1 mod p> at every p
+    group = gamma_m(1)
+    assert group.generator(1) == Moebius(4, 15, 1, 4)
+    for p in primes_between(222, 2000):
+        size = closure_size(group, p)
+        assert size == _order_mod(((4, 15), (1, 4)), p), p
+        assert p * (p * p - 1) % size == 0, p
+        assert not surjective_mod_p(group, p), p
+    assert not surjective_primes(group, np.array(primes_between(222, 2000))).any()
+
+
+def test_a_composite_modulus_past_the_cap_is_refused_up_front(g2):
+    with pytest.raises(SurjectivityError):
+        closure_size(g2, 1000)
 
 
 def test_lambda_p0_traces_count_fixed_lines(g2):

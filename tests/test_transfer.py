@@ -10,14 +10,15 @@ from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import UnitaryRep, trivial_rep
 from schottky_zeta.schottky import SchottkyGroup
 from schottky_zeta.transfer import (
-    SAMPLING_RADIUS,
     QuadratureError,
+    _moebius_log,
     assemble_pairs,
     assemble_refined,
     assemble_standard,
     bergman_kernel,
     pair_integrals,
 )
+from schottky_zeta.zeta import leading_eigenvalue
 
 
 def _polar_grid(disk, n_r=60, n_phi=120):
@@ -96,6 +97,35 @@ def test_truncation_converged(g2):
     assert e16 == pytest.approx(e24, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_boundary_samples_stay_in_the_domain(m):
+    # each summand is sampled on the boundary of its target disk D_b: g_w must
+    # map it into the open source disk D_{w[0]}, with g_w' off the branch cut
+    group = gamma_m(m)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    for pairs in (group.standard_pairs, group.partition(2.0**-6).pairs,
+                  group.partition(2.0**-8).pairs):
+        for w, b in pairs:
+            target, source = group.disk(b), group.disk(w[0])
+            images, _ = _moebius_log(group, w, target.center + target.radius * circle)
+            assert np.all(np.abs(images - source.center) < source.radius), (m, w, b)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_high_n_rows_are_not_rounding(m):
+    # the Taylor coefficients are taken on the disk boundary, so no row of high
+    # k is rescaled: every quantity holds its N = 32 value up to MAX_N = 128
+    group = gamma_m(m)
+    hs32 = hs_norm_matrix(assemble_standard(group, 0.9, n_basis=32))
+    assert hs_norm_matrix(assemble_standard(group, 0.9, n_basis=128)) == pytest.approx(
+        hs32, rel=1e-13, abs=0)
+    det32 = zeta_det(group, 0.3 + 0.5j, n_basis=32)
+    eig32 = leading_eigenvalue(group, 0.5, n_basis=32)
+    for n in (16, 64, 128):
+        assert abs(zeta_det(group, 0.3 + 0.5j, n_basis=n) - det32) <= 1e-13 * abs(det32), n
+        assert leading_eigenvalue(group, 0.5, n_basis=n) == pytest.approx(eig32, rel=1e-13, abs=0)
+
+
 def test_pair_integrals_cross_disk_dropped(g2, part2_64):
     ints = pair_integrals(g2, part2_64, 0.9)
     targets = {}
@@ -148,14 +178,14 @@ def _per_pair_matrix(group, pairs, s, rep, n_basis):
     ks = np.arange(n_basis)
     for w, b in sorted(pairs):
         target, source = group.disk(b), group.disk(w[0])
-        zs = target.center + SAMPLING_RADIUS * target.radius * np.exp(1j * theta)
+        zs = target.center + target.radius * np.exp(1j * theta)
         g = group.word_matrix(w)
         den = float(g.c) * zs + float(g.d)
         u = ((float(g.a) * zs + float(g.b)) / den - source.center) / source.radius
         power = (1.0 / den**2) ** s                          # principal branch
         samples = power[:, None] * np.sqrt((ks + 1) / np.pi) / source.radius * u[:, None] ** ks
         coef = np.fft.fft(samples, axis=0)[:n_basis] / n_samp
-        coef *= (target.radius * np.sqrt(np.pi / (ks + 1)) / SAMPLING_RADIUS**ks)[:, None]
+        coef *= (target.radius * np.sqrt(np.pi / (ks + 1)))[:, None]
         out[(b - 1) * n : b * n, (w[0] - 1) * n : w[0] * n] += np.kron(coef, rep.inverse_image(w))
     return out
 
