@@ -19,7 +19,6 @@ from .schottky import (
 )
 from .reps import UnitaryRep, direct_sum, trivial_rep
 from .transfer import (
-    HSPrimeSumRecord,
     HSRecord,
     TransferMatrix,
     assemble_refined,
@@ -27,14 +26,15 @@ from .transfer import (
     bergman_kernel,
     hs_norm_integral,
     hs_norm_matrix,
-    hs_prime_sum,
 )
 from .zeta import (
+    HSPrimeSumRecord,
     PrimitiveClass,
     ZeroReport,
     count_zeros_rect,
     delta,
     euler_product,
+    hs_prime_sum,
     jensen_bound,
     new_eigenvalue_count,
     primitive_classes,

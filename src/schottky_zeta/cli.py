@@ -33,10 +33,11 @@ from .schottky import (
     named_group,
     validate_group,
 )
-from .transfer import DEFAULT_N, hs_prime_sum
+from .transfer import DEFAULT_N
 from .zeta import (
     delta,
     delta_methods,
+    hs_prime_sum,
     jensen_bound,
     new_eigenvalue_count,
     real_zeros,
@@ -221,6 +222,8 @@ def cmd_trace_check(args, outdir: Path) -> dict:
 def cmd_charsum(args, outdir: Path) -> dict:
     ds = _int_list(args.d)
     xs = _float_list(args.x)
+    if not ds or not xs:
+        raise ValueError("--d and --x must each list at least one value")
     by_x = {x: char_sums(ds, x) for x in dict.fromkeys(xs)}  # one sieve per distinct x
     recs = sorted((r for x in xs for r in by_x[x]), key=lambda r: (r.d, r.x))
     rows = [[r.d, r.x, r.total, r.bound_ratio] for r in recs]

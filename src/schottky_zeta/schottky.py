@@ -11,6 +11,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,9 +41,6 @@ class PartitionError(ValueError):
 class Disk:
     center: float
     radius: float
-
-    def contains(self, z: complex) -> bool:
-        return abs(z - self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -317,18 +315,19 @@ class Partition:
 
 # -- validation ---------------------------------------------------------------
 
-_BOUNDARY_SAMPLES = 16
-
-
 def validate_group(spec: dict) -> SchottkyGroup:
     """Validate a raw group description (see the JSON schema in the README).
 
     Raises GroupValidationError carrying the full list of violations.
     """
     violations: list[str] = []
-    m = int(spec["m"])
-    raw_disks = spec["disks"]
-    raw_gens = spec["generators"]
+    try:
+        m = int(spec["m"])
+        raw_disks = spec["disks"]
+        raw_gens = spec["generators"]
+        disks = tuple(Disk(float(d["center"]), float(d["radius"])) for d in raw_disks)
+    except KeyError as exc:
+        raise GroupValidationError([f"group spec is missing the key {exc.args[0]!r}"]) from None
     if len(raw_disks) != 2 * m:
         raise GroupValidationError([f"expected {2*m} disks, got {len(raw_disks)}"])
     if len(raw_gens) != 2 * m:
@@ -336,11 +335,12 @@ def validate_group(spec: dict) -> SchottkyGroup:
     if spec.get("pairing", "standard") != "standard":
         raise GroupValidationError(["only the standard letter pairing is supported"])
 
-    disks = tuple(Disk(float(d["center"]), float(d["radius"])) for d in raw_disks)
     gens = tuple(Moebius(int(g[0][0]), int(g[0][1]), int(g[1][0]), int(g[1][1])) for g in raw_gens)
 
     for i, d in enumerate(disks):
-        if d.radius <= 0:
+        if not (math.isfinite(d.center) and math.isfinite(d.radius)):
+            violations.append(f"disk {i+1} has a center or radius that is not finite")
+        elif d.radius <= 0:
             violations.append(f"disk {i+1} has nonpositive radius {d.radius}")
     for i, d1 in enumerate(disks):
         for j in range(i + 1, len(disks)):
@@ -358,27 +358,22 @@ def validate_group(spec: dict) -> SchottkyGroup:
     if violations:
         raise GroupValidationError(violations)
 
-    # mapping condition gamma_a(C \ D_abar) = D_a, sampled on the boundary circle
-    circle = np.exp(2j * np.pi * np.arange(_BOUNDARY_SAMPLES) / _BOUNDARY_SAMPLES)
+    # gamma_a(C \ D_abar) = D_a, in exact rationals (floats are binary fractions): a real Moebius
+    # map sends the circle on the real diameter [c - r, c + r] to the one on [g(c - r), g(c + r)]
     for a in group.alphabet:
         g = group.generator(a)
         src = group.disk(group.bar(a))
         dst = group.disk(a)
-        img_inf = g.apply(INF)
-        if img_inf == INF or not dst.contains(img_inf):
+        center, radius = Fraction(dst.center), Fraction(dst.radius)
+        if g.c == 0 or not abs(Fraction(g.a, g.c) - center) < radius:
             violations.append(f"generator {a} does not map infinity into disk {a}")
             continue
-        zs = src.center + src.radius * circle
-        try:
-            images = g.apply(zs)
-        except ZeroDivisionError:  # a sample at the pole, which scalars map to INF
-            images = np.array([g.apply(z) for z in zs.tolist()])
-        off = ~(np.abs(np.abs(images - dst.center) - dst.radius) <= 1e-9 * dst.radius)
-        if off.any():
-            violations.append(
-                f"generator {a} does not map the boundary of disk {group.bar(a)} "
-                f"onto the boundary of disk {a} (sample {off.argmax()})"
-            )
+        ends = [Fraction(src.center) + sign * Fraction(src.radius) for sign in (-1, 1)]
+        images = sorted((g.a * x + g.b) / (g.c * x + g.d) for x in ends if g.c * x + g.d != 0)
+        if len(images) < 2 or any(abs(image - end) > 1e-9 * dst.radius for image, end in
+                                  zip(images, (center - radius, center + radius))):
+            violations.append(f"generator {a} does not map the boundary of disk {group.bar(a)} "
+                              f"onto the boundary of disk {a}")
     if violations:
         raise GroupValidationError(violations)
     return group

@@ -8,8 +8,7 @@ discrete Fourier coefficients. g_w maps the closed D_b into the open D_{w[0]}
 and has its pole in D_{bar(w[-1])} != D_b, so each summand is holomorphic on a
 neighbourhood of the closed disk and this is spectrally accurate.
 
-Hilbert-Schmidt norms are also computed from Bergman-kernel integrals, per
-representation and summed over primes p ~ x for lambda_p^0.
+Hilbert-Schmidt norms are also computed from Bergman-kernel integrals.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import dyadic_primes, log_weighted_sum
-from .congruence import lambda_p0_traces, rep_lambda_p0, surjective_primes
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Disk, Partition, SchottkyGroup, Word
 
@@ -32,7 +29,6 @@ MAX_N = 128  # bounds each pair's N x 4N samples and the dense blocks
 DEFAULT_RADIAL_ORDER = 24
 DEFAULT_ANGULAR_ORDER = 48
 HS_CONVERGENCE_TOL = 1e-6  # agreement required between the HS integral and its doubled-order rerun
-DIRECT_P_CAP = 1000        # largest prime the materialized direct HS prime sum accepts
 
 
 class QuadratureError(RuntimeError):
@@ -369,70 +365,3 @@ def hs_norm_integral(
         angular_order=angular_order,
     )
 
-
-# -- summed Hilbert-Schmidt diagnostic over primes ---------------------------------
-
-
-@dataclass(frozen=True)
-class HSPrimeSumRecord:
-    tau: float
-    s: complex
-    x: float
-    primes: tuple[int, ...]
-    direct: float | None           # sum of log(p) ||L_{tau,s,lambda_p^0}||_HS^2
-    decomposed: float | None
-    diagonal: float | None
-    off_diagonal: float | None
-    fallback_pairs: int = 0        # (pair, prime) terms where the pair word is +-I mod p
-
-
-def hs_prime_sum(
-    group: SchottkyGroup,
-    tau: float,
-    s: complex,
-    x: float,
-    mode: str = "both",
-) -> HSPrimeSumRecord:
-    """Two computation paths for sum over p ~ x of log(p) ||L_{tau,s,lambda_p^0}||^2_HS.
-
-    direct: per-prime kernel-integral HS norms with the materialized sum-zero
-    representation. decomposed: diagonal prime sum plus off-diagonal
-    character sums via the fixed-line trace formula.
-    """
-    partition = group.partition(tau)
-    prime_array, logs = dyadic_primes(x)
-    primes = prime_array.tolist()
-    if mode in ("direct", "both") and primes and primes[-1] > DIRECT_P_CAP:
-        raise ValueError(f"p={primes[-1]} exceeds the direct-mode cap DIRECT_P_CAP={DIRECT_P_CAP}")
-    onto = surjective_primes(group, prime_array)
-    if not onto.all():
-        raise ValueError(f"reduction mod {prime_array[~onto][0]} not surjective; prime sum undefined")
-
-    ints = pair_integrals(group, partition, s)
-
-    direct = None
-    if mode in ("direct", "both"):
-        direct = log_weighted_sum(logs, np.array(
-            [_trace_pair_sum(rep_lambda_p0(group, p), ints) for p in primes]))
-
-    decomposed = diagonal = off_diagonal = None
-    fallback = 0
-    if mode in ("decomposed", "both"):
-        diagonal = log_weighted_sum(logs, prime_array) * sum(
-            v.real for (wa, wb), v in ints.items() if wa == wb)
-        off_diagonal = 0.0
-        for (wa, wb), val in ints.items():
-            if wa == wb:
-                continue
-            traces = lambda_p0_traces(group.word_matrix(group.mirror(wa) + wb), prime_array)
-            # a trace equal to p marks a prime where the pair word is +-I mod p
-            fallback += int(np.count_nonzero(traces == prime_array))
-            off_diagonal += log_weighted_sum(logs, traces) * val.real
-        decomposed = diagonal + off_diagonal
-
-    return HSPrimeSumRecord(
-        tau=tau, s=s, x=x, primes=tuple(primes),
-        direct=direct, decomposed=decomposed,
-        diagonal=diagonal, off_diagonal=off_diagonal,
-        fallback_pairs=fallback,
-    )

@@ -1,6 +1,6 @@
 """Selberg zeta functions via Fredholm determinants and Euler products,
-zero location/counting, the limit-set dimension delta, and the Jensen bound
-on zero counts of the congruence twists."""
+zero location/counting, the limit-set dimension delta, the Jensen bound
+on zero counts of the congruence twists, and the Hilbert-Schmidt prime sum."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import rep_lambda_p0, surjective_mod_p
+from .arithmetic import dyadic_primes, log_weighted_sum
+from .congruence import lambda_p0_traces, rep_lambda_p0, surjective_mod_p, surjective_primes
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Partition, SchottkyGroup, Word
-from .transfer import DEFAULT_N, assemble_refined, assemble_standard
+from .transfer import DEFAULT_N, _trace_pair_sum, assemble_refined, assemble_standard, pair_integrals
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
 CHEB_START_N = 16                  # first Chebyshev proxy degree of a real-axis root search
@@ -26,6 +27,7 @@ BOUNDARY_FLOOR = 1e-13             # |det| below this on a rectangle edge counts
 CIRCLE_SAMPLES = 32
 CIRCLE_MAX_REFINEMENTS = 5
 JENSEN_MAX_DOUBLINGS = 3
+DIRECT_P_CAP = 1000                # largest prime the materialized direct HS prime sum accepts
 
 
 class ConvergenceError(RuntimeError):
@@ -461,6 +463,8 @@ def real_zeros(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     real_det = functools.partial(_real_det, group, rep, n_basis)
     roots, nodes, tail = _chebyshev_roots(real_det, lo, hi, tol / 4)
     det = functools.partial(zeta_det, group, rep=rep, n_basis=n_basis)
@@ -563,3 +567,74 @@ def jensen_bound(
 
     bound = (val - math.log(center_val)) / log_ratio
     return max(bound, 0.0)
+
+
+# -- summed Hilbert-Schmidt diagnostic over primes ---------------------------------
+
+
+@dataclass(frozen=True)
+class HSPrimeSumRecord:
+    tau: float
+    s: complex
+    x: float
+    primes: tuple[int, ...]
+    direct: float | None           # sum of log(p) ||L_{tau,s,lambda_p^0}||_HS^2
+    decomposed: float | None
+    diagonal: float | None
+    off_diagonal: float | None
+    fallback_pairs: int = 0        # (pair, prime) terms where the pair word is +-I mod p
+
+
+def hs_prime_sum(
+    group: SchottkyGroup,
+    tau: float,
+    s: complex,
+    x: float,
+    mode: str = "both",
+) -> HSPrimeSumRecord:
+    """Two computation paths for sum over p ~ x of log(p) ||L_{tau,s,lambda_p^0}||^2_HS.
+
+    direct: per-prime kernel-integral HS norms with the materialized sum-zero
+    representation. decomposed: diagonal prime sum plus off-diagonal
+    character sums via the fixed-line trace formula.
+    """
+    partition = group.partition(tau)
+    prime_array, logs = dyadic_primes(x)
+    primes = prime_array.tolist()
+    if not primes:
+        raise ValueError(f"no prime p ~ x, in (x/2, x] = ({x / 2}, {x}]")
+    if mode in ("direct", "both") and primes[-1] > DIRECT_P_CAP:
+        raise ValueError(f"p={primes[-1]} exceeds the direct-mode cap DIRECT_P_CAP={DIRECT_P_CAP}")
+    onto = surjective_primes(group, prime_array)
+    if not onto.all():
+        raise ValueError(f"reduction mod {prime_array[~onto][0]} not surjective; prime sum undefined")
+
+    ints = pair_integrals(group, partition, s)
+
+    direct = None
+    if mode in ("direct", "both"):
+        direct = log_weighted_sum(logs, np.array(
+            [_trace_pair_sum(rep_lambda_p0(group, p), ints) for p in primes]))
+
+    decomposed = diagonal = off_diagonal = None
+    fallback = 0
+    if mode in ("decomposed", "both"):
+        diagonal = log_weighted_sum(logs, prime_array) * sum(
+            v.real for (wa, wb), v in ints.items() if wa == wb)
+        off_diagonal = 0.0
+        for (wa, wb), val in ints.items():
+            if wa == wb:
+                continue
+            traces = lambda_p0_traces(
+                group.word_matrix(wa).inverse() @ group.word_matrix(wb), prime_array)
+            # a trace equal to p marks a prime where the pair word is +-I mod p
+            fallback += int(np.count_nonzero(traces == prime_array))
+            off_diagonal += log_weighted_sum(logs, traces) * val.real
+        decomposed = diagonal + off_diagonal
+
+    return HSPrimeSumRecord(
+        tau=tau, s=s, x=x, primes=tuple(primes),
+        direct=direct, decomposed=decomposed,
+        diagonal=diagonal, off_diagonal=off_diagonal,
+        fallback_pairs=fallback,
+    )

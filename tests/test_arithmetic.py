@@ -22,7 +22,7 @@ from schottky_zeta.arithmetic import (
 )
 from schottky_zeta.cli import main
 from schottky_zeta.congruence import _is_pm_identity
-from schottky_zeta import congruence, transfer
+from schottky_zeta import congruence, transfer, zeta
 
 
 def _legendre_bruteforce(d, p):
@@ -230,7 +230,7 @@ def test_hs_prime_sum_decomposed_runs_no_primality_test(g2, monkeypatch):
 
 
 def test_hs_prime_sum_direct_mode_rejects_primes_past_the_cap(g2):
-    with pytest.raises(ValueError, match=f"DIRECT_P_CAP={transfer.DIRECT_P_CAP}"):
+    with pytest.raises(ValueError, match=f"DIRECT_P_CAP={zeta.DIRECT_P_CAP}"):
         hs_prime_sum(g2, 2.0**-6, 0.9, 3000.0, mode="direct")
 
 

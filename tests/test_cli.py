@@ -129,6 +129,12 @@ def test_zeros_command(tmp_path):
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "inf", "--x", "60"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--im", "nan"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "nan", "--re-hi", "1.0"],
+    ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--rep", "lambda_p0:209"],
+    ["np", "--group", "gamma_m:2", "--p", "4", "--sigma", "0.15"],
+    ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--x=-5"],
+    ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--x", "1.5"],
+    ["charsum", "--d", ",", "--x", "100"],
+    ["charsum", "--d", "5", "--x", ","],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
         "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
@@ -141,13 +147,23 @@ def test_zeros_command(tmp_path):
         "trace-check-no-surjective-prime", "charsum-x-nan",
         "hs-sum-x-nan", "distortion-max-len-0",
         "distortion-delta-nan", "distortion-taus-empty", "np-sigma-inf", "np-sigma-nan",
-        "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan"])
+        "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan",
+        "zeta-rep-composite-modulus", "np-p-composite", "hs-sum-x-negative",
+        "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["status"] == "error"
     assert err["error_type"] == "ValueError"
     assert not (tmp_path / f"{argv[0].replace('-', '_')}.csv").exists()
+
+
+def test_zeros_reports_the_tolerance_it_was_given(tmp_path, capsys):
+    argv = ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol=-1"]
+    assert run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValueError"
+    assert "-1.0" in err["message"] and "-0.25" not in err["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -184,8 +184,17 @@ def test_a_cyclic_reduction_is_not_onto_at_any_prime():
 
 
 def test_a_composite_modulus_past_the_cap_is_refused_up_front(g2):
-    with pytest.raises(SurjectivityError):
+    with pytest.raises(ValueError, match="not prime"):
         closure_size(g2, 1000)
+
+
+@pytest.mark.parametrize("p", [4, 9, 143, 209])
+def test_a_composite_modulus_is_refused_before_any_closure(g2, p):
+    # |SL_2(Z/143)| = 2.9M and |SL_2(Z/209)| = 9.0M: the elements a closure BFS would enumerate
+    bfs_runs = _closure_size.cache_info().misses
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        closure_size(g2, p)
+    assert _closure_size.cache_info().misses == bfs_runs
 
 
 def test_lambda_p0_traces_count_fixed_lines(g2):

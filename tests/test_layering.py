@@ -1,11 +1,22 @@
 """Layering of the package: intra-package imports sit at module top level, so
-the import graph is explicit and acyclic, and arithmetic.py (number theory)
-depends on no other module of the package."""
+the import graph is explicit and acyclic, and the analysis stack (schottky ->
+reps -> transfer) and the arithmetic stack (arithmetic -> congruence) meet
+only in zeta and cli."""
 
 import ast
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "schottky_zeta"
+
+# every module's package imports; cli and __init__ may import any module
+ALLOWED_IMPORTS = {
+    "schottky": set(),
+    "arithmetic": set(),
+    "reps": {"schottky"},
+    "transfer": {"schottky", "reps"},
+    "congruence": {"arithmetic", "reps", "schottky"},
+    "zeta": {"arithmetic", "congruence", "reps", "schottky", "transfer"},
+}
 
 
 def _is_package_import(node: ast.AST) -> bool:
@@ -27,18 +38,27 @@ def test_no_function_local_package_imports():
     assert offenders == []
 
 
-def test_transfer_imports_no_character_code():
-    # tr lambda_p^0 is written once, in congruence.lambda_p0_traces, and the
-    # primes of a prime sum are certified as one array, by surjective_primes;
-    # the x -> -x parity of lambda_p and lambda_p^0 is computed in congruence
-    # and reaches transfer only as the rep's intertwiner
-    tree = ast.parse((PACKAGE_DIR / "transfer.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-             for alias in node.names}
-    assert names.isdisjoint({"kronecker", "kronecker_over_primes", "divides",
-                             "is_prime", "surjective_mod_p", "closure_size",
-                             "coset_perm", "reduce_mod", "_helmert_basis",
-                             "_negation", "_parity_basis"})
+def _package_imports(path: Path) -> set[str]:
+    """The package modules a module imports, by name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not _is_package_import(node):
+            continue
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[-1] for alias in node.names}
+        elif node.module and node.module.split(".")[-1] != "schottky_zeta":
+            out.add(node.module.split(".")[-1])
+        else:  # from . import x
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_every_module_imports_only_its_allowed_layers():
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    assert modules == set(ALLOWED_IMPORTS) | {"cli", "__init__"}
+    disallowed = {name: _package_imports(PACKAGE_DIR / f"{name}.py") - allowed
+                  for name, allowed in ALLOWED_IMPORTS.items()}
+    assert disallowed == {name: set() for name in ALLOWED_IMPORTS}
 
 
 def test_zeta_reads_only_the_blocks_of_a_transfer_matrix():
@@ -50,7 +70,3 @@ def test_zeta_reads_only_the_blocks_of_a_transfer_matrix():
     functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_halves" not in functions
 
-
-def test_arithmetic_imports_no_package_module():
-    tree = ast.parse((PACKAGE_DIR / "arithmetic.py").read_text())
-    assert [node.lineno for node in ast.walk(tree) if _is_package_import(node)] == []

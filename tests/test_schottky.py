@@ -176,7 +176,7 @@ def test_validation_catches_bad_mapping():
 
 
 def test_validation_reports_a_boundary_sample_at_the_pole():
-    # generator 1 has its pole at -4, sample 0 of disk 2's boundary
+    # generator 1 has its pole at -4, the right end of disk 2's real diameter
     spec = {
         "m": 1,
         "disks": [{"center": 4.0, "radius": 1.0}, {"center": -5.0, "radius": 1.0}],
@@ -185,9 +185,49 @@ def test_validation_reports_a_boundary_sample_at_the_pole():
     with pytest.raises(GroupValidationError) as exc:
         validate_group(spec)
     assert exc.value.violations == [
-        "generator 1 does not map the boundary of disk 2 onto the boundary of disk 1 (sample 0)",
+        "generator 1 does not map the boundary of disk 2 onto the boundary of disk 1",
         "generator 2 does not map infinity into disk 2",
     ]
+
+
+@pytest.mark.parametrize("spacing", [4, 8, 1000])
+@pytest.mark.parametrize("a", [1_100_000, 1_500_000, 2**21])
+def test_validation_is_exact_for_large_entries(a, spacing):
+    # g = [[x, x^2 - 1], [1, x]] maps the circle |z + x| = 1 onto |z - x| = 1 exactly,
+    # but in floating point the images of boundary points lose the unit disk
+    xs = (a, a + spacing)
+    spec = {
+        "m": 2,
+        "disks": [{"center": c, "radius": 1.0} for c in (*xs, -xs[0], -xs[1])],
+        "generators": [[[x, x * x - 1], [1, x]] for x in xs]
+                      + [[[x, -(x * x - 1)], [-1, x]] for x in xs],
+    }
+    group = validate_group(spec)
+    assert group.generator(3) == group.generator(1).inverse()
+    spec["disks"][0]["radius"] = 1.0 + 2e-9
+    spec["disks"][2]["radius"] = 1.0 + 2e-9
+    with pytest.raises(GroupValidationError, match="boundary of disk 3 onto the boundary of disk 1"):
+        validate_group(spec)
+
+
+@pytest.mark.parametrize("key", ["m", "disks", "generators"])
+def test_validation_names_a_missing_key(key):
+    spec = {"m": 1, "disks": [{"center": 4.0, "radius": 1.0}, {"center": -4.0, "radius": 1.0}],
+            "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]]}
+    del spec[key]
+    with pytest.raises(GroupValidationError, match=f"missing the key '{key}'"):
+        validate_group(spec)
+
+
+@pytest.mark.parametrize("field", ["center", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validation_rejects_a_disk_that_is_not_finite(field, value):
+    spec = {"m": 1, "disks": [{"center": 4.0, "radius": 1.0}, {"center": -4.0, "radius": 1.0}],
+            "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]]}
+    spec["disks"][0][field] = value
+    with pytest.raises(GroupValidationError) as exc:
+        validate_group(spec)
+    assert exc.value.violations[0] == "disk 1 has a center or radius that is not finite"
 
 
 def test_array_moebius_matches_scalar_calls(g2):

@@ -19,7 +19,7 @@ from schottky_zeta import (
 )
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
-from schottky_zeta.schottky import Disk, Moebius, SchottkyGroup
+from schottky_zeta.schottky import SchottkyGroup, validate_group
 from schottky_zeta.transfer import assemble_refined
 from schottky_zeta.zeta import (
     ConvergenceError,
@@ -93,12 +93,14 @@ def test_primitive_classes_match_the_rotation_filter(m, len_max):
 
 def test_primitive_classes_are_exact_past_int64():
     # g = [[a, a^2 - 1], [1, a]] with a = 2^21: length-3 traces reach about (2a)^3 = 2^66,
-    # so int64 products would wrap. The disks only pair the letters: at this size
-    # validate_group cannot resolve their boundaries in floating point.
+    # so int64 products would wrap
     a = (2**21, 2**21 + 8)
-    gens = [Moebius(x, x * x - 1, 1, x) for x in a]
-    group = SchottkyGroup(m=2, disks=tuple(Disk(c, 1.0) for c in (*a, -a[0], -a[1])),
-                          generators=(*gens, *(g.inverse() for g in gens)), label="large")
+    group = validate_group({
+        "m": 2, "label": "large",
+        "disks": [{"center": c, "radius": 1.0} for c in (*a, -a[0], -a[1])],
+        "generators": [[[x, x * x - 1], [1, x]] for x in a]
+                      + [[[x, -(x * x - 1)], [-1, x]] for x in a],
+    })
     classes = primitive_classes(group, 3)
     assert max(c.trace for c in classes) > 2**63
     assert [c.trace for c in classes] == [abs(group.word_matrix(c.word).trace()) for c in classes]
