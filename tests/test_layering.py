@@ -61,6 +61,20 @@ def test_every_module_imports_only_its_allowed_layers():
     assert disallowed == {name: set() for name in ALLOWED_IMPORTS}
 
 
+def test_transfer_imports_no_character_code():
+    # tr lambda_p^0 is written once, in congruence.lambda_p0_traces, and the
+    # primes of a prime sum are certified as one array, by surjective_primes;
+    # the x -> -x parity of lambda_p and lambda_p^0 is computed in congruence
+    # and reaches transfer only as the rep's intertwiner
+    tree = ast.parse((PACKAGE_DIR / "transfer.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert names.isdisjoint({"kronecker", "kronecker_over_primes", "divides",
+                             "is_prime", "surjective_mod_p", "closure_size",
+                             "coset_perm", "reduce_mod", "_helmert_basis",
+                             "_negation", "_parity_basis"})
+
+
 def test_zeta_reads_only_the_blocks_of_a_transfer_matrix():
     # the z -> -z block layout is decided in transfer: zeta takes determinants
     # and eigenvalues of TransferMatrix.blocks and never forms the blocks itself
@@ -70,3 +84,7 @@ def test_zeta_reads_only_the_blocks_of_a_transfer_matrix():
     functions = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_halves" not in functions
 
+
+def test_arithmetic_imports_no_package_module():
+    tree = ast.parse((PACKAGE_DIR / "arithmetic.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if _is_package_import(node)] == []
