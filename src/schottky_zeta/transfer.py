@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ def bergman_kernel(disk: Disk, z: complex | np.ndarray, w: complex | np.ndarray)
     den = r2 - (z - disk.center) * (np.conjugate(w) - disk.center)
     if np.any(den == 0):
         raise ZeroDivisionError("Bergman kernel denominator vanishes on the boundary")
-    return r2 / (math.pi * den**2)
+    return r2 / (np.pi * den**2)
 
 
 def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
@@ -62,10 +61,11 @@ def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
 @dataclass(frozen=True)
 class TransferMatrix:
     """A (refined) twisted transfer operator truncation, held as the blocks
-    of `_OperatorPlan.blocks`: with the z -> -z symmetry the operators on the
-    even and on the odd functions, stacked (2, h, h), and otherwise the whole
-    matrix alone (1, n, n). det(1 - L) is the product over the blocks, and
-    `zeta` overwrites them while taking it.
+    of `_OperatorPlan.blocks`, one signed contraction of the pairs: with the
+    z -> -z symmetry the operators on the even and odd functions, stacked
+    (2, h, h), and otherwise the whole operator alone (1, n, n), each in the
+    plan's (letter, v, k) order. det(1 - L) is the product over the blocks,
+    and `zeta` overwrites them while taking it.
 
     Row/column index layout of `matrix`: (disk letter, basis index k, rep
     index v) packed as ((letter-1) * N + k) * dim_rho + v.
@@ -100,7 +100,14 @@ class _OperatorPlan:
     T = (perm, sign) of one half, (T x)[i] = sign[i] x[perm[i]], and the
     evaluated rows are [A | B T]; the blocks of the operator on the even and
     odd functions are A + B T and A - B T. Otherwise every letter is a
-    representative and the rows are the whole matrix.
+    representative and the one block is the whole matrix.
+
+    `incidence` is that fold as data: in each block, evaluated pair i puts
+    rho(g_w)^{-1} (times V in a mirror column, at its representative) at its
+    row and column letters, with weight -1 in the odd block for a mirror
+    column and +1 otherwise. Block rows and columns run over (letter, rep
+    index v, basis index k), so row (b, v, k) is the incidence at (b, v)
+    times the pairs' coefficients of target index k.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
@@ -115,30 +122,30 @@ class _OperatorPlan:
             if w[-1] == group.bar(b):
                 raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
         sigma = group.involution
+        parity = (-1.0) ** np.arange(n_basis)
         if sigma is not None and rep.intertwiner is not None and set(pairs) == {
                 (tuple(sigma[a - 1] for a in w), sigma[b - 1]) for w, b in pairs}:
             rep.check_intertwiner(sigma)
             first = tuple(a for a in group.alphabet if a < sigma[a - 1])
             self.letters = first + tuple(sigma[a - 1] for a in first)
             perm, sign = rep.intertwiner
-            half = np.arange(len(first) * n_basis * rep.dim).reshape(len(first), n_basis, rep.dim)
-            parity = (-1.0) ** np.arange(n_basis)
-            self.mirror = (half[:, :, perm].ravel(),
-                           np.broadcast_to(parity[:, None] * sign, half.shape).ravel())
+            half = np.arange(len(first) * rep.dim * n_basis).reshape(len(first), rep.dim, n_basis)
+            self.mirror = (half[:, perm].ravel(),
+                           np.broadcast_to(sign[:, None] * parity, half.shape).ravel())
             v = sign[:, None] * np.eye(rep.dim)[perm]
         else:
             first = self.letters = tuple(group.alphabet)
             self.mirror = None
+        folds = 1 if self.mirror is None else 2
         position = {a: i for i, a in enumerate(self.letters)}
+        evaluated = [(w, b) for w, b in pairs if position[b] < len(first)]
         n_samp = 4 * n_basis
         circle = np.exp(1j * (2.0 * np.pi * np.arange(n_samp) / n_samp))
         ks = np.arange(n_basis)
         norm = np.sqrt((ks + 1) / np.pi)                 # basis normalization times r
+        incidence = np.zeros((folds, len(first), rep.dim, len(first), rep.dim, len(evaluated)), complex)
         log_deriv, samples, scale = [], [], []
-        self.rho_inv, self.positions = [], []
-        for w, b in pairs:
-            if position[b] >= len(first):
-                continue
+        for i, (w, b) in enumerate(evaluated):
             target, source = group.disk(b), group.disk(w[0])
             zs = target.center + target.radius * circle
             images, log_w = _moebius_log(group, w, zs)
@@ -148,26 +155,26 @@ class _OperatorPlan:
             sample = norm[:, None] / source.radius * u ** ks[:, None]
             # inverse target normalization and the 1/n of the DFT
             scale.append(target.radius / norm / n_samp)
-            rho_inv = rep.inverse_image(w)
-            if position[w[0]] >= len(first):
-                # a column of a mirror letter, stored times T = diag((-1)^k) (x) V
+            rho_inv, weight, a = rep.inverse_image(w), 1.0, position[w[0]]
+            if a >= len(first):
+                # a column of a mirror letter, stored times T = diag((-1)^k) (x) V,
+                # adds to A + B T and subtracts from A - B T
                 sample, rho_inv = parity[:, None] * sample, rho_inv @ v
+                weight, a = np.array([1.0, -1.0])[:, None, None], a - len(first)
             samples.append(sample)
-            self.rho_inv.append(rho_inv)
-            self.positions.append((position[b], position[w[0]]))
-        self.real_images = not any(np.any(rho.imag) for rho in self.rho_inv)
-        if self.real_images:
-            self.rho_inv = [rho.real for rho in self.rho_inv]
-        count = len(self.positions)
+            incidence[:, position[b], :, a, :, i] = weight * rho_inv
+        count = len(evaluated)
         self.log_deriv = np.array(log_deriv).reshape(count, n_samp)
-        self.samples = np.array(samples).reshape(count, n_basis, n_samp)
-        self.scale = np.array(scale).reshape(count, n_basis, 1)
-        self.shape = (len(first), n_basis, rep.dim, 2 * group.m, n_basis, rep.dim)
+        self.samples = np.array(samples, complex).reshape(count, n_basis, n_samp)
+        self.scale = np.array(scale).reshape(count, n_basis).T[:, :, None]
+        self.real_images = not np.any(incidence.imag)
+        incidence = np.ascontiguousarray(incidence.real if self.real_images else incidence)
+        self.incidence = incidence.reshape(folds, len(first), rep.dim, 1, len(first) * rep.dim, count)
+        self.shape = (folds, len(first), rep.dim, n_basis, len(first) * rep.dim, n_basis)
 
     def blocks(self, s: complex) -> np.ndarray:
-        """The blocks of the operator at s, as in TransferMatrix: new rows of
-        the representative letters, with [A | B T] folded in place into
-        [A + B T | A - B T].
+        """The blocks of the operator at s, as in TransferMatrix, in one new
+        array: the pairs' coefficients contracted with the incidence.
 
         At real s with real rep images the operator is real: the generators
         are integer matrices, so g_w maps R to R with g_w' > 0 there, and the
@@ -175,40 +182,33 @@ class _OperatorPlan:
         Taylor coefficients. The imaginary part of the DFT output is then
         rounding alone, and the blocks are its real part, real matrices.
         """
-        n_basis = self.shape[1]
-        power = np.exp(s * self.log_deriv)
-        # (pair, target k, source k), each DFT over the contiguous last axis
-        coef = np.fft.fft(power[:, None, :] * self.samples)[:, :, :n_basis].transpose(0, 2, 1)
+        folds, n_basis, h = self.shape[0], self.shape[-1], self.shape[-2] * self.shape[-1]
+        sampled = np.exp(s * self.log_deriv)[:, None, :] * self.samples
+        # (pair, source k, target k), each DFT in place over the contiguous last axis
+        coef = np.fft.fft(sampled, out=sampled)[:, :, :n_basis]
         if self.real_images and complex(s).imag == 0:
             coef = coef.real
-        coef = coef * self.scale
-        out = np.zeros(self.shape, dtype=coef.dtype)
-        for (b, a), c, rho in zip(self.positions, coef, self.rho_inv):
-            out[b, :, :, a] += c[:, None, :, None] * rho[None, :, None, :]
-        h = math.prod(self.shape[:3])
-        rows = out.reshape(h, math.prod(self.shape[3:]))
-        if self.mirror is None:
-            return rows[None]
-        a, bt = rows[:, :h], rows[:, h:]
-        a += bt
-        bt *= -2.0
-        bt += a
-        return rows.reshape(h, 2, h).transpose(1, 0, 2)
+        coef = np.multiply(coef.transpose(2, 0, 1), self.scale, order="C")  # (target k, pair, source k)
+        out = np.empty(self.shape, np.result_type(coef, self.incidence))
+        # real weights contract a complex coef as its (real, imaginary) pairs
+        dtype = self.incidence.dtype
+        np.matmul(self.incidence, coef.view(dtype), out=out.view(dtype))
+        return out.reshape(folds, h, h)
 
     def unfold(self, blocks: np.ndarray) -> np.ndarray:
-        """The whole matrix, in letter order, of the operator with these
-        blocks: A and B T are their half sum and half difference."""
-        if self.mirror is None:
-            return blocks[0]
-        a, bt = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
-        perm, sign = self.mirror
-        full = np.block([[a, bt[:, perm] * sign],
-                         [sign[:, None] * bt[perm], sign[:, None] * a[np.ix_(perm, perm)] * sign]])
-        if list(self.letters) != sorted(self.letters):
-            n = self.shape[1] * self.shape[2]
-            index = (np.argsort(self.letters)[:, None] * n + np.arange(n)).ravel()
-            full = full[np.ix_(index, index)]
-        return full
+        """`TransferMatrix.matrix` of the operator with these blocks: A and
+        B T are their half sum and half difference."""
+        full = blocks[0]
+        if self.mirror is not None:
+            a, bt = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
+            perm, sign = self.mirror
+            full = np.block([[a, bt[:, perm] * sign],
+                             [sign[:, None] * bt[perm], sign[:, None] * a[np.ix_(perm, perm)] * sign]])
+        # (letter, k, v) in letter order, from (letter, v, k) in plan order
+        dim, n_basis = self.shape[2], self.shape[-1]
+        index = (np.argsort(self.letters)[:, None, None] * dim + np.arange(dim)) * n_basis
+        index = (index + np.arange(n_basis)[:, None]).ravel()
+        return full[np.ix_(index, index)]
 
 
 # rep -> group -> (sorted pairs, n_basis) -> plan; an entry lives as long as

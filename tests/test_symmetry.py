@@ -9,9 +9,9 @@ import pytest
 
 from schottky_zeta import gamma_m, real_zeros, refined_zeta, zeta_det
 from schottky_zeta.congruence import _negation, _parity_basis, rep_lambda_p, rep_lambda_p0
-from schottky_zeta.reps import UnitaryRep, trivial_rep
+from schottky_zeta.reps import UnitaryRep, direct_sum, trivial_rep
 from schottky_zeta.schottky import validate_group
-from schottky_zeta.transfer import assemble_pairs, assemble_standard
+from schottky_zeta.transfer import _moebius_log, assemble_pairs, assemble_standard
 from schottky_zeta.zeta import SymmetryError, leading_eigenvalue
 
 TAU = 2.0**-6
@@ -204,3 +204,96 @@ def test_real_zeros_accepts_lambda_p0_at_a_large_prime(g2):
     # no zero of Z(s, lambda_47^0) in [0.15, 0.3], and no SymmetryError
     report = real_zeros(g2, rep_lambda_p0(g2, 47), 0.15, 0.3, n_basis=4)
     assert report.zeros == []
+
+
+def _swap_phase_rep(group, phase):
+    """A 2-dim rep with complex images and an intertwiner for z -> -z: letters
+    1..m act by diag(e^{i phase}, e^{-i phase}), their inverses by the
+    conjugate, and V swaps the two coordinates."""
+    images = {}
+    for a in group.alphabet:
+        turn = phase if a <= group.m else -phase
+        images[a] = np.diag(np.exp([1j * turn, -1j * turn]))
+    return UnitaryRep(dim=2, images=images, label=f"swap phase {phase}",
+                      intertwiner=(np.array([1, 0]), np.ones(2)))
+
+
+def _coefficients(group, w, b, s, n_basis):
+    """The N x N Fourier coefficients (target k, source k) of
+    f |-> g_w'(.)^s f(g_w .) from the basis of D_{w[0]} into that of D_b."""
+    target, source = group.disk(b), group.disk(w[0])
+    n_samp = 4 * n_basis
+    ks = np.arange(n_basis)
+    zs = target.center + target.radius * np.exp(2j * np.pi * np.arange(n_samp) / n_samp)
+    images, log_w = _moebius_log(group, w, zs)
+    u = (images - source.center) / source.radius
+    samples = np.exp(s * log_w)[:, None] * np.sqrt((ks + 1) / np.pi) / source.radius * u[:, None] ** ks
+    coef = np.fft.fft(samples, axis=0)[:n_basis] / n_samp
+    return coef * (target.radius * np.sqrt(np.pi / (ks + 1)))[:, None]
+
+
+def _scatter_and_fold(group, pairs, s, rep, n_basis):
+    """Reference for `_OperatorPlan.blocks`: each evaluated pair's
+    coefficients, Kronecker times rho(g_w)^{-1}, added by its own numpy call
+    into zeroed rows [A | B T] of the representative letters, then folded in
+    place into the blocks A + B T and A - B T; without the symmetry the rows
+    are the whole matrix. Rows and columns run over (letter, k, v), the
+    letters in the plan's order."""
+    sigma = group.involution
+    if sigma is not None and rep.intertwiner is not None and set(pairs) == {
+            (tuple(sigma[a - 1] for a in w), sigma[b - 1]) for w, b in pairs}:
+        first = tuple(a for a in group.alphabet if a < sigma[a - 1])
+        letters = first + tuple(sigma[a - 1] for a in first)
+        perm, sign = rep.intertwiner
+        v = sign[:, None] * np.eye(rep.dim)[perm]
+    else:
+        first = letters = tuple(group.alphabet)
+    real = complex(s).imag == 0 and not any(u.imag.any() for u in rep.images.values())
+    position = {a: i for i, a in enumerate(letters)}
+    parity = (-1.0) ** np.arange(n_basis)
+    out = np.zeros((len(first), n_basis, rep.dim, len(letters), n_basis, rep.dim),
+                   dtype=float if real else complex)
+    for w, b in sorted(pairs):
+        if position[b] >= len(first):
+            continue
+        c, rho = _coefficients(group, w, b, s, n_basis), rep.inverse_image(w)
+        if position[w[0]] >= len(first):
+            c, rho = c * parity, rho @ v  # a column of a mirror letter, stored times T
+        if real:
+            c, rho = c.real, rho.real
+        out[position[b], :, :, position[w[0]]] += c[:, None, :, None] * rho[None, :, None, :]
+    h = len(first) * n_basis * rep.dim
+    rows = out.reshape(h, len(letters) * n_basis * rep.dim)
+    if len(letters) == len(first):
+        return rows[None]
+    a, bt = rows[:, :h], rows[:, h:]
+    a += bt
+    bt *= -2.0
+    bt += a
+    return rows.reshape(h, 2, h).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("rep_name", ["trivial", "lambda_p0", "lambda_p", "direct_sum", "complex"])
+@pytest.mark.parametrize("group_name", ["gamma_m:2", "gamma_m:8", "no involution"])
+def test_blocks_match_the_per_pair_scatter_and_fold(group_name, rep_name):
+    group = {"gamma_m:2": gamma_m(2), "gamma_m:8": gamma_m(8),
+             "no involution": _conjugate(gamma_m(2), ((1, 1), (0, 1)))}[group_name]
+    rep = {"trivial": lambda: trivial_rep(group),
+           "lambda_p0": lambda: rep_lambda_p0(group, 5),
+           "lambda_p": lambda: rep_lambda_p(group, 5),
+           "direct_sum": lambda: direct_sum(trivial_rep(group), _unreduced(rep_lambda_p0(group, 5))),
+           "complex": lambda: _swap_phase_rep(group, 0.3)}[rep_name]()
+    tau = 2.0**-3 if group.m == 8 else TAU
+    n_basis = 6
+    folds = 2 if group.involution is not None and rep.intertwiner is not None else 1
+    for pairs in (group.standard_pairs, group.partition(tau).pairs):
+        for s in (0.4, 0.3 + 0.7j):
+            blocks = assemble_pairs(group, pairs, s, rep, n_basis).blocks
+            assert len(blocks) == folds
+            assert np.isrealobj(blocks) == (s == 0.4 and rep_name != "complex")
+            # the plan's rows and columns run over (letter, v, k)
+            letters = len(blocks[0]) // (n_basis * rep.dim)
+            got = blocks.reshape(folds, letters, rep.dim, n_basis, letters, rep.dim, n_basis)
+            got = got.transpose(0, 1, 3, 2, 4, 6, 5).reshape(blocks.shape)
+            want = _scatter_and_fold(group, pairs, s, rep, n_basis)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
