@@ -102,12 +102,13 @@ class _OperatorPlan:
     odd functions are A + B T and A - B T. Otherwise every letter is a
     representative and the one block is the whole matrix.
 
-    `incidence` is that fold as data: in each block, evaluated pair i puts
-    rho(g_w)^{-1} (times V in a mirror column, at its representative) at its
-    row and column letters, with weight -1 in the odd block for a mirror
-    column and +1 otherwise. Block rows and columns run over (letter, rep
-    index v, basis index k), so row (b, v, k) is the incidence at (b, v)
-    times the pairs' coefficients of target index k.
+    `incidence` is that fold as data, sparse by letter block: pair i, the
+    j-th of block (b, a) with a = w[0] or its representative, puts
+    rho(g_w)^{-1} (times V in a mirror column) at (b, a, j), with weight -1
+    in the odd block for a mirror column and +1 otherwise; `slots` names the
+    pair in each slot, and empty slots weigh 0. Rows and columns run over
+    (letter, rep index v, basis index k), so row (v, k) of block (b, a) is
+    the incidence at (b, v, a) times its slots' coefficients of target k.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
@@ -136,16 +137,15 @@ class _OperatorPlan:
         else:
             first = self.letters = tuple(group.alphabet)
             self.mirror = None
-        folds = 1 if self.mirror is None else 2
+        folds, n_first = (1 if self.mirror is None else 2), len(first)
         position = {a: i for i, a in enumerate(self.letters)}
-        evaluated = [(w, b) for w, b in pairs if position[b] < len(first)]
+        evaluated = [(w, b) for w, b in pairs if position[b] < n_first]
         n_samp = 4 * n_basis
         circle = np.exp(1j * (2.0 * np.pi * np.arange(n_samp) / n_samp))
         ks = np.arange(n_basis)
         norm = np.sqrt((ks + 1) / np.pi)                 # basis normalization times r
-        incidence = np.zeros((folds, len(first), rep.dim, len(first), rep.dim, len(evaluated)), complex)
-        log_deriv, samples, scale = [], [], []
-        for i, (w, b) in enumerate(evaluated):
+        log_deriv, samples, scale, weighted, place, filled = [], [], [], [], [], {}
+        for w, b in evaluated:
             target, source = group.disk(b), group.disk(w[0])
             zs = target.center + target.radius * circle
             images, log_w = _moebius_log(group, w, zs)
@@ -155,22 +155,28 @@ class _OperatorPlan:
             sample = norm[:, None] / source.radius * u ** ks[:, None]
             # inverse target normalization and the 1/n of the DFT
             scale.append(target.radius / norm / n_samp)
-            rho_inv, weight, a = rep.inverse_image(w), 1.0, position[w[0]]
-            if a >= len(first):
+            rho, signs, a = rep.inverse_image(w), (1.0, 1.0), position[w[0]]
+            if a >= n_first:
                 # a column of a mirror letter, stored times T = diag((-1)^k) (x) V,
                 # adds to A + B T and subtracts from A - B T
-                sample, rho_inv = parity[:, None] * sample, rho_inv @ v
-                weight, a = np.array([1.0, -1.0])[:, None, None], a - len(first)
+                sample, rho, signs, a = parity[:, None] * sample, rho @ v, (1.0, -1.0), a - n_first
             samples.append(sample)
-            incidence[:, position[b], :, a, :, i] = weight * rho_inv
-        count = len(evaluated)
+            weighted.append(np.multiply.outer(signs[:folds], rho))
+            filled[position[b], a] = filled.get((position[b], a), -1) + 1
+            place.append((position[b], a, filled[position[b], a]))
+        count, width = len(place), max(filled.values(), default=-1) + 1
         self.log_deriv = np.array(log_deriv).reshape(count, n_samp)
         self.samples = np.array(samples, complex).reshape(count, n_basis, n_samp)
-        self.scale = np.array(scale).reshape(count, n_basis).T[:, :, None]
-        self.real_images = not np.any(incidence.imag)
-        incidence = np.ascontiguousarray(incidence.real if self.real_images else incidence)
-        self.incidence = incidence.reshape(folds, len(first), rep.dim, 1, len(first) * rep.dim, count)
-        self.shape = (folds, len(first), rep.dim, n_basis, len(first) * rep.dim, n_basis)
+        weighted = np.array(weighted).reshape(count, folds, rep.dim, rep.dim)
+        self.real_images = not np.any(weighted.imag)
+        weighted = weighted.real if self.real_images else weighted
+        rows, cols, ranks = np.array(place, int).reshape(count, 3).T
+        self.incidence = np.zeros((folds, n_first, rep.dim, 1, n_first, rep.dim, width), weighted.dtype)
+        self.incidence[:, rows, :, 0, cols, :, ranks] = weighted
+        self.slots = np.zeros((n_first, n_first, width), int)
+        self.slots[rows, cols, ranks] = np.arange(count)
+        self.scale = np.array(scale).reshape(count, n_basis).T[:, self.slots, None]
+        self.shape = (folds, n_first, rep.dim, n_basis, n_first, rep.dim, n_basis)
 
     def blocks(self, s: complex) -> np.ndarray:
         """The blocks of the operator at s, as in TransferMatrix, in one new
@@ -182,17 +188,19 @@ class _OperatorPlan:
         Taylor coefficients. The imaginary part of the DFT output is then
         rounding alone, and the blocks are its real part, real matrices.
         """
-        folds, n_basis, h = self.shape[0], self.shape[-1], self.shape[-2] * self.shape[-1]
-        sampled = np.exp(s * self.log_deriv)[:, None, :] * self.samples
+        folds, n_basis, h = self.shape[0], self.shape[-1], int(np.prod(self.shape[1:4]))
+        coef = np.exp(s * self.log_deriv)[:, None, :] * self.samples
         # (pair, source k, target k), each DFT in place over the contiguous last axis
-        coef = np.fft.fft(sampled, out=sampled)[:, :, :n_basis]
+        coef = np.fft.fft(coef, out=coef)[:, :, :n_basis]
         if self.real_images and complex(s).imag == 0:
             coef = coef.real
-        coef = np.multiply(coef.transpose(2, 0, 1), self.scale, order="C")  # (target k, pair, source k)
+        coef = np.take(coef.transpose(2, 0, 1), self.slots, axis=1)  # (target k, b, a, slot, source k)
+        coef *= self.scale
         out = np.empty(self.shape, np.result_type(coef, self.incidence))
+        # batches (fold, b, v, target k, a), each contracting block (b, a)'s slots;
         # real weights contract a complex coef as its (real, imaginary) pairs
-        dtype = self.incidence.dtype
-        np.matmul(self.incidence, coef.view(dtype), out=out.view(dtype))
+        coef = coef.view(self.incidence.dtype).transpose(1, 0, 2, 3, 4)[:, None]
+        np.matmul(self.incidence, coef, out=out.view(self.incidence.dtype))
         return out.reshape(folds, h, h)
 
     def unfold(self, blocks: np.ndarray) -> np.ndarray:

@@ -297,3 +297,16 @@ def test_blocks_match_the_per_pair_scatter_and_fold(group_name, rep_name):
             got = got.transpose(0, 1, 3, 2, 4, 6, 5).reshape(blocks.shape)
             want = _scatter_and_fold(group, pairs, s, rep, n_basis)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_each_pair_fills_one_slot_of_its_letter_block():
+    # the contraction runs over the slots of each letter block, not over
+    # every pair for every block, so the slots stay close to the pair count
+    group = gamma_m(8)
+    for rep in (trivial_rep(group), rep_lambda_p0(group, 5)):
+        for pairs in (group.standard_pairs, group.partition(TAU).pairs):
+            plan = assemble_pairs(group, pairs, 0.4, rep, 4).plan
+            count = len(plan.log_deriv)
+            filled = np.any(plan.incidence != 0, axis=(0, 2, 3, 5))
+            assert sorted(plan.slots[filled]) == list(range(count))
+            assert plan.slots.size < 1.5 * count
