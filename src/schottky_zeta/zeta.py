@@ -4,6 +4,7 @@ on zero counts of the congruence twists, and the Hilbert-Schmidt prime sum."""
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -390,14 +391,12 @@ class BoundaryZeroError(RuntimeError):
     pass
 
 
-def _winding_number(f, contour, n: int, max_refinements: int) -> int:
-    """Winding number of f around the closed contour sampled at the n points
-    contour(n); n doubles until consecutive phase increments stay below pi/2.
-    Each point is evaluated once: contour(2n) repeats contour(n) bitwise at
-    its even indices."""
-    f = functools.cache(f)
+def _winding_number(values, n: int, max_refinements: int) -> int:
+    """Winding number about 0 of the closed contour whose n samples, in order,
+    are values(n); n doubles until consecutive phase increments stay below
+    pi/2. It evaluates nothing itself: values computes and caches the samples."""
     for _ in range(max_refinements):
-        phases = np.angle(np.array([f(complex(z)) for z in contour(n)]))
+        phases = np.angle(np.array(values(n)))
         inc = np.diff(np.concatenate([phases, phases[:1]]))
         inc = (inc + np.pi) % (2 * np.pi) - np.pi
         if np.max(np.abs(inc)) < np.pi / 2:
@@ -410,6 +409,21 @@ def _winding_number(f, contour, n: int, max_refinements: int) -> int:
     raise ConvergenceError("winding number did not stabilize under refinement")
 
 
+def _real_circle(f, center: float, radius: float):
+    """values(n): f at the n points center + radius e^{2 pi i k/n}, k < n, of
+    a circle centred on R. f is evaluated only on the closed upper half
+    k <= n/2; point n - k is the conjugate of point k's value, which is f's
+    value there wherever f is real on R (Schwarz reflection). f is cached: the
+    2n-point circle repeats the n-point one bitwise at its even indices."""
+    f = functools.cache(f)
+
+    def values(n: int) -> list[complex]:
+        half = [f(complex(center + radius * np.exp(2j * np.pi * t))) for t in np.arange(n // 2 + 1) / n]
+        return half + [half[n - k].conjugate() for k in range(n // 2 + 1, n)]
+
+    return values
+
+
 def count_zeros_rect(
     group: SchottkyGroup,
     rep: UnitaryRep | None,
@@ -418,31 +432,28 @@ def count_zeros_rect(
 ) -> int:
     """Winding number of det(1 - L_s) along a rectangle boundary.
 
-    rect = (lower-left, upper-right). Sampling is refined adaptively until
-    consecutive phase increments stay below pi/2.
+    rect = (lower-left, upper-right), finite, lower-left strictly left of and
+    below upper-right. Sampling is refined adaptively until consecutive phase
+    increments stay below pi/2.
     """
-    z0, z1 = rect
+    z0, z1 = map(complex, rect)
+    if not (cmath.isfinite(z0) and cmath.isfinite(z1) and z0.real < z1.real and z0.imag < z1.imag):
+        raise ValueError(f"need finite corners, lower-left below and left of upper-right, got {rect}")
     corners = [z0, complex(z1.real, z0.imag), z1, complex(z0.real, z1.imag)]
 
-    def boundary(n_per_edge: int) -> list[complex]:
-        ts = np.arange(n_per_edge) / n_per_edge
-        return [a + t * (b - a) for a, b in zip(corners, corners[1:] + corners[:1]) for t in ts]
-
+    @functools.cache
     def f(s: complex) -> complex:
         v = zeta_det(group, s, rep, n_basis)
         if abs(v) < BOUNDARY_FLOOR:
             raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
         return v
 
-    return _winding_number(f, boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
+    def boundary(n_per_edge: int) -> list[complex]:
+        ts = np.arange(n_per_edge) / n_per_edge
+        return [f(complex(a + t * (b - a)))
+                for a, b in zip(corners, corners[1:] + corners[:1]) for t in ts]
 
-
-def _multiplicity_circle(det, center: complex, radius: float) -> int:
-    """Zeros of det inside the circle |s - center| = radius, with multiplicity."""
-    def circle(n: int) -> list[complex]:
-        return [center + radius * np.exp(1j * t) for t in 2 * np.pi * np.arange(n) / n]
-
-    return _winding_number(det, circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
+    return _winding_number(boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
 
 def real_zeros(
@@ -458,8 +469,9 @@ def real_zeros(
     The candidates come from one Chebyshev proxy of the determinant on
     [lo, hi] (`_chebyshev_roots`): sign changes bisected to tol / 4, and
     even-order dips of the proxy. Each candidate is confirmed and graded by
-    the argument principle on a circle of radius 5 * tol. The report carries
-    the proxy's node count and final tail as its convergence evidence.
+    the argument principle on a circle of radius 5 * tol whose closed upper
+    half alone is evaluated (`_real_circle`). The report carries the proxy's
+    node count and final tail as its convergence evidence.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
@@ -472,7 +484,8 @@ def real_zeros(
     for x, _ in roots:
         if zeros and abs(x - zeros[-1][0].real) < 5 * tol:
             continue
-        mult = _multiplicity_circle(det, complex(x), 5 * tol)
+        circle = _real_circle(det, x, 5 * tol)
+        mult = _winding_number(circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
         if mult >= 1:
             zeros.append((complex(x), mult))
     return ZeroReport(rep_label=rep.label if rep is not None else "trivial", region=(lo, hi),
@@ -515,10 +528,11 @@ def jensen_bound(
 
     Uses sigma_0 = delta + K, r_1 = sqrt((sigma_0-sigma)^2 + 1),
     r_2 = r_1 + 1/K, the trapezoid mean of log|zeta_tau| on the circle of
-    radius r_2, and the actual -log|zeta_tau(sigma_0)| at the center. Zeros of
-    zeta_tau near the left edge of the circle make the integrand spiky, so the
-    sampling is doubled until the implied bound moves by less than bound_tol
-    (measured in zeros, not in relative terms).
+    radius r_2, and the actual -log|zeta_tau(sigma_0)| at the center. The
+    circle's closed upper half alone is evaluated (`_real_circle`; lambda_p^0
+    has real images, so zeta_tau is real on R). Zeros of zeta_tau near its left
+    edge make the integrand spiky, so the sampling is doubled until the implied
+    bound moves by less than bound_tol (measured in zeros, not relatively).
     """
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
@@ -542,20 +556,10 @@ def jensen_bound(
         raise ValueError("refined zeta nearly vanishes at the Jensen center")
 
     log_ratio = math.log(r2 / r1)
+    circle = _real_circle(lambda s: refined_zeta(group, partition, s, rep, n_basis), sigma0, r2)
 
-    @functools.cache
-    def log_abs(s: complex) -> float:
-        return math.log(abs(refined_zeta(group, partition, s, rep, n_basis)))
-
-    # Gamma lies in SL2(Z), every disk is centred on R and lambda_p^0 has real
-    # images, so L at conj(s) is the conjugate of L at s and |zeta_tau| agrees
-    # at conjugate points: point n - k of the n-point circle mirrors point k,
-    # and only the closed upper half k <= n/2 is evaluated. The 2n-point half
-    # circle repeats the n-point one bitwise at its even indices.
     def circle_mean(n: int) -> float:
-        half = [log_abs(complex(sigma0 + r2 * np.exp(2j * np.pi * t)))
-                for t in np.arange(n // 2 + 1) / n]
-        return float(np.mean([half[min(k, n - k)] for k in range(n)]))
+        return float(np.mean([math.log(abs(v)) for v in circle(n)]))
 
     n, val = theta_samples, circle_mean(theta_samples)
     for _ in range(JENSEN_MAX_DOUBLINGS):
@@ -563,7 +567,7 @@ def jensen_bound(
         if abs(val - coarse) <= bound_tol * log_ratio:
             break
     else:
-        raise RuntimeError("Jensen circle integral did not stabilize")
+        raise ConvergenceError("Jensen circle integral did not stabilize")
 
     bound = (val - math.log(center_val)) / log_ratio
     return max(bound, 0.0)
@@ -598,6 +602,8 @@ def hs_prime_sum(
     representation. decomposed: diagonal prime sum plus off-diagonal
     character sums via the fixed-line trace formula.
     """
+    if mode not in ("direct", "decomposed", "both"):
+        raise ValueError(f"mode must be 'direct', 'decomposed' or 'both', got {mode!r}")
     partition = group.partition(tau)
     prime_array, logs = dyadic_primes(x)
     primes = prime_array.tolist()

@@ -211,6 +211,16 @@ def test_hs_prime_sum_modes(g2):
     assert e.direct is None and e.decomposed == pytest.approx(d.direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["Decomposed", "", "all", None])
+def test_hs_prime_sum_rejects_an_unknown_mode_before_the_sieve(g2, monkeypatch, mode):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the sieve may not run")
+
+    monkeypatch.setattr(zeta, "dyadic_primes", unexpected)
+    with pytest.raises(ValueError, match="mode must be"):
+        hs_prime_sum(g2, 2.0**-6, 0.9, 60.0, mode=mode)
+
+
 def test_hs_prime_sum_rejects_nonsurjective():
     g1 = gamma_m(1)
     # gamma_m:1 reduces to a cyclic subgroup mod small primes in this range

@@ -1,6 +1,8 @@
 """The Chebyshev proxy behind every real-axis zero search (`_chebyshev_roots`),
-on synthetic functions and against the sign scan it replaced."""
+on synthetic functions and against the sign scan it replaced, and the
+half-circle confirmation of its candidates (`_real_circle`)."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,10 +14,13 @@ from schottky_zeta.reps import direct_sum, trivial_rep
 from schottky_zeta.zeta import (
     CHEB_START_N,
     CHEB_TAIL_TOL,
+    CIRCLE_MAX_REFINEMENTS,
+    CIRCLE_SAMPLES,
     ConvergenceError,
     _bisect_sign_change,
     _chebyshev_roots,
-    _multiplicity_circle,
+    _real_circle,
+    _winding_number,
     zeta_det,
 )
 
@@ -110,10 +115,22 @@ def test_bad_tolerance_is_rejected_before_any_evaluation(tol):
 # -- against the method it replaced -----------------------------------------------
 
 
+def full_circle_count(det, center, radius):
+    """Zeros of det inside |s - center| = radius, with multiplicity, with every
+    point of the circle evaluated (no conjugate mirror)."""
+    det = functools.cache(det)
+
+    def values(n):
+        ts = 2 * np.pi * np.arange(n) / n
+        return [det(complex(center + radius * np.exp(1j * t))) for t in ts]
+
+    return _winding_number(values, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
+
+
 def sign_scan_zeros(group, rep, lo, hi, tol, n_basis):
     """The former `real_zeros`: a 200-point sign scan with bisection, plus a
     60-step ternary search of |det| at every sign-preserving local minimum,
-    each candidate graded on a circle of radius 5 tol."""
+    each candidate graded on the full circle of radius 5 tol."""
     def det(s):
         return zeta_det(group, s, rep, n_basis)
 
@@ -144,7 +161,7 @@ def sign_scan_zeros(group, rep, lo, hi, tol, n_basis):
     for x in sorted(candidates):
         if zeros and abs(x - zeros[-1][0]) < 5 * tol:
             continue
-        mult = _multiplicity_circle(det, complex(x), 5 * tol)
+        mult = full_circle_count(det, x, 5 * tol)
         if mult >= 1:
             zeros.append((x, mult))
     return zeros
@@ -181,3 +198,30 @@ def test_new_eigenvalue_count_takes_at_most_33_determinants(g2, delta2, monkeypa
     monkeypatch.setattr(zeta, "zeta_det", counted)
     assert new_eigenvalue_count(g2, 7, 0.15, delta_value=delta2) == 0
     assert len(calls) <= 33  # the sign scan took 200
+
+
+def test_confirmation_evaluates_the_closed_upper_half_once(g2, monkeypatch):
+    # the proxy evaluates real s; the confirmation circle complex s
+    circle = []
+    real = zeta.zeta_det
+
+    def counted(group, s, *args, **kwargs):
+        if isinstance(s, complex):
+            circle.append(s)
+        return real(group, s, *args, **kwargs)
+
+    monkeypatch.setattr(zeta, "zeta_det", counted)
+    report = real_zeros(g2, None, 0.1, 0.4)
+    assert [m for _, m in report.zeros] == [1]
+    assert len(circle) == len(set(circle)) == CIRCLE_SAMPLES // 2 + 1
+    assert all(s.imag >= 0 for s in circle)
+
+
+def test_the_half_circle_counts_a_double_root_and_a_conjugate_pair():
+    # real on R: a double root at 0.3 and the pair 0.32 +- 0.02i inside, -2 outside
+    def poly(z):
+        return (z - 0.3) ** 2 * ((z - 0.32) ** 2 + 0.02**2) * (z + 2)
+
+    half = _real_circle(poly, 0.3, 0.1)
+    assert full_circle_count(poly, 0.3, 0.1) == 4
+    assert _winding_number(half, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS) == 4

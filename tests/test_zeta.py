@@ -201,6 +201,24 @@ def test_rect_count_around_delta(g2, delta2):
     assert count_zeros_rect(g2, None, rect) == 1
 
 
+@pytest.mark.parametrize("rect", [
+    (0.2 + 0.5j, 0.35 - 0.5j),      # upper-left, lower-right: wound backwards
+    (0.35 + 0.5j, 0.2 - 0.5j),      # upper-right, lower-left
+    (0.2 - 0.5j, 0.2 + 0.5j),       # no width
+    (0.2 + 0.1j, 0.35 + 0.1j),      # no height
+    (0.2, 0.2),
+    (complex(math.nan, -0.5), 0.35 + 0.5j),
+    (0.2 - 0.5j, complex(math.inf, 0.5)),
+])
+def test_rect_count_rejects_bad_corners_before_any_determinant(g2, monkeypatch, rect):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no determinant may be evaluated")
+
+    monkeypatch.setattr(zeta, "zeta_det", unexpected)
+    with pytest.raises(ValueError):
+        count_zeros_rect(g2, None, rect)
+
+
 def test_refined_zeta_vanishes_at_zeros(g2, delta2, part2_64):
     # zeros of det(1 - L_s) are zeros of the refined zeta
     assert abs(refined_zeta(g2, part2_64, delta2, n_basis=24)) < 1e-6
@@ -263,6 +281,12 @@ def test_jensen_bound_matches_the_full_circle(g2, delta2, theta_samples):
                        theta_samples=theta_samples, bound_tol=bound_tol)
     assert want > 0
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_jensen_bound_raises_convergence_error_when_the_doublings_run_out(g2, delta2):
+    with pytest.raises(ConvergenceError, match="Jensen circle integral did not stabilize"):
+        jensen_bound(g2, 5, 0.2, 2.0**-5, K=2.0, n_basis=8, delta_value=delta2,
+                     theta_samples=8, bound_tol=1e-300)
 
 
 def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatch):
