@@ -277,8 +277,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors (a bad value, an unknown or missing flag or
+    command) as ValueError, so they print JSON and exit 1 like every other
+    error; -h still prints help and exits 0. Subparsers share the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schottky-zeta",
         description="Resonances of Schottky surfaces and congruence covers.",
     )
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Two-pass parse: config file values become defaults, flags override."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config:

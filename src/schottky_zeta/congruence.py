@@ -263,7 +263,7 @@ def rep_lambda_p(group: SchottkyGroup, p: int) -> UnitaryRep:
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
     # row i of f -> f(. g) is the delta at the index of x_i g
-    eye = np.eye(p + 1, dtype=complex)
+    eye = np.eye(p + 1)
     images = {a: eye[list(coset_perm(group.generator(a), p))] for a in group.alphabet}
     return UnitaryRep(dim=p + 1, images=images, label=f"lambda_{p}",
                       intertwiner=(_negation(p), np.ones(p + 1)))
@@ -274,7 +274,7 @@ def rep_lambda_p0(group: SchottkyGroup, p: int) -> UnitaryRep:
     `_parity_basis`, where the intertwiner of z -> -z is diag(parity)."""
     full = rep_lambda_p(group, p)
     h, parity = _parity_basis(p)
-    images = {a: (h.T @ full.images[a].real @ h).astype(complex) for a in group.alphabet}
+    images = {a: h.T @ full.images[a] @ h for a in group.alphabet}
     return UnitaryRep(dim=p, images=images, label=f"lambda_{p}^0",
                       intertwiner=(np.arange(p), parity))
 

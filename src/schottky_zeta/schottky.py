@@ -328,6 +328,8 @@ def validate_group(spec: dict) -> SchottkyGroup:
         disks = tuple(Disk(float(d["center"]), float(d["radius"])) for d in raw_disks)
     except KeyError as exc:
         raise GroupValidationError([f"group spec is missing the key {exc.args[0]!r}"]) from None
+    if m < 1:
+        raise GroupValidationError([f"m must be >= 1, got {m}"])
     if len(raw_disks) != 2 * m:
         raise GroupValidationError([f"expected {2*m} disks, got {len(raw_disks)}"])
     if len(raw_gens) != 2 * m:

@@ -126,14 +126,13 @@ class _OperatorPlan:
         parity = (-1.0) ** np.arange(n_basis)
         if sigma is not None and rep.intertwiner is not None and set(pairs) == {
                 (tuple(sigma[a - 1] for a in w), sigma[b - 1]) for w, b in pairs}:
-            rep.check_intertwiner(sigma)
+            v = rep.check_intertwiner(sigma)
             first = tuple(a for a in group.alphabet if a < sigma[a - 1])
             self.letters = first + tuple(sigma[a - 1] for a in first)
             perm, sign = rep.intertwiner
             half = np.arange(len(first) * rep.dim * n_basis).reshape(len(first), rep.dim, n_basis)
             self.mirror = (half[:, perm].ravel(),
                            np.broadcast_to(sign[:, None] * parity, half.shape).ravel())
-            v = sign[:, None] * np.eye(rep.dim)[perm]
         else:
             first = self.letters = tuple(group.alphabet)
             self.mirror = None
@@ -168,8 +167,6 @@ class _OperatorPlan:
         self.log_deriv = np.array(log_deriv).reshape(count, n_samp)
         self.samples = np.array(samples, complex).reshape(count, n_basis, n_samp)
         weighted = np.array(weighted).reshape(count, folds, rep.dim, rep.dim)
-        self.real_images = not np.any(weighted.imag)
-        weighted = weighted.real if self.real_images else weighted
         rows, cols, ranks = np.array(place, int).reshape(count, 3).T
         self.incidence = np.zeros((folds, n_first, rep.dim, 1, n_first, rep.dim, width), weighted.dtype)
         self.incidence[:, rows, :, 0, cols, :, ranks] = weighted
@@ -182,17 +179,17 @@ class _OperatorPlan:
         """The blocks of the operator at s, as in TransferMatrix, in one new
         array: the pairs' coefficients contracted with the incidence.
 
-        At real s with real rep images the operator is real: the generators
-        are integer matrices, so g_w maps R to R with g_w' > 0 there, and the
-        disks are centred on R, so each summand is real on R and has real
-        Taylor coefficients. The imaginary part of the DFT output is then
-        rounding alone, and the blocks are its real part, real matrices.
+        At real s with real rep images (a real incidence) the operator is real:
+        the generators are integer matrices, so g_w maps R to R with g_w' > 0
+        there, and the disks are centred on R, so each summand is real on R and
+        has real Taylor coefficients. The imaginary part of the DFT output is
+        then rounding alone, and the blocks are its real part, real matrices.
         """
         folds, n_basis, h = self.shape[0], self.shape[-1], int(np.prod(self.shape[1:4]))
         coef = np.exp(s * self.log_deriv)[:, None, :] * self.samples
         # (pair, source k, target k), each DFT in place over the contiguous last axis
         coef = np.fft.fft(coef, out=coef)[:, :, :n_basis]
-        if self.real_images and complex(s).imag == 0:
+        if np.isrealobj(self.incidence) and complex(s).imag == 0:
             coef = coef.real
         coef = np.take(coef.transpose(2, 0, 1), self.slots, axis=1)  # (target k, b, a, slot, source k)
         coef *= self.scale

@@ -36,12 +36,12 @@ class ConvergenceError(RuntimeError):
 
 
 class SymmetryError(RuntimeError):
-    """A real-axis search met a transfer matrix that is not real at real s.
+    """A real-axis search was given a rep whose transfer matrix is not real.
 
-    The matrix is real there exactly when the rep's letter images are real
-    matrices, so `real_zeros` and `delta_from_zeta` require real images: a
-    rep written in a complex basis raises this even where its determinant
-    is real."""
+    The matrix is real at real s exactly when the rep's letter images are
+    real, held as float64 (`UnitaryRep`); `real_zeros` raises this for any
+    other rep before it takes a determinant, also for a rep written in a
+    complex basis whose determinant is real."""
 
 
 # -- primitive conjugacy classes ------------------------------------------------
@@ -305,17 +305,6 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
     return sorted(roots), n + 1, tail
 
 
-def _real_det(group: SchottkyGroup, rep: UnitaryRep | None, n_basis: int, s: float) -> float:
-    """det(1 - L_{s,rho}) at real s, where L must be a real matrix, as it is
-    for a rep with real images (see `_OperatorPlan.blocks`): `zeta_det` then
-    takes real determinants and returns an exactly real value. A rep with
-    complex images gives a complex L and raises SymmetryError."""
-    v = zeta_det(group, s, rep, n_basis)
-    if v.imag != 0:
-        raise SymmetryError(f"transfer matrix not real at s={s} (rep images not real): det {v}")
-    return v.real
-
-
 def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
     """Dimension of the limit set: the s with leading eigenvalue of L_s = 1."""
     lo, hi = DELTA_BRACKET
@@ -332,8 +321,7 @@ def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFA
 def delta_from_zeta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
     """Largest real zero of det(1 - L_s) in DELTA_BRACKET: the largest sign
     change that `_chebyshev_roots` brackets and bisects to width tol."""
-    real_det = functools.partial(_real_det, group, None, n_basis)
-    roots = _chebyshev_roots(real_det, *DELTA_BRACKET, tol)[0]
+    roots = _chebyshev_roots(lambda s: zeta_det(group, s, None, n_basis).real, *DELTA_BRACKET, tol)[0]
     odd = [x for x, sign_change in roots if sign_change]
     if not odd:
         raise ConvergenceError("no real determinant zero found in the bracket")
@@ -413,8 +401,9 @@ def _real_circle(f, center: float, radius: float):
     """values(n): f at the n points center + radius e^{2 pi i k/n}, k < n, of
     a circle centred on R. f is evaluated only on the closed upper half
     k <= n/2; point n - k is the conjugate of point k's value, which is f's
-    value there wherever f is real on R (Schwarz reflection). f is cached: the
-    2n-point circle repeats the n-point one bitwise at its even indices."""
+    value there wherever f is real on R (Schwarz reflection), as det(1 - L_s)
+    is for a rep with float64 images. f is cached: the 2n-point circle
+    repeats the n-point one bitwise at its even indices."""
     f = functools.cache(f)
 
     def values(n: int) -> list[complex]:
@@ -466,6 +455,7 @@ def real_zeros(
 ) -> ZeroReport:
     """All real zeros of det(1 - L_{s,rho}) in [lo, hi] with multiplicity.
 
+    A rep with complex images raises SymmetryError before any determinant.
     The candidates come from one Chebyshev proxy of the determinant on
     [lo, hi] (`_chebyshev_roots`): sign changes bisected to tol / 4, and
     even-order dips of the proxy. Each candidate is confirmed and graded by
@@ -477,9 +467,10 @@ def real_zeros(
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    real_det = functools.partial(_real_det, group, rep, n_basis)
-    roots, nodes, tail = _chebyshev_roots(real_det, lo, hi, tol / 4)
+    if rep is not None and any(np.iscomplexobj(u) for u in rep.images.values()):
+        raise SymmetryError(f"{rep.label} has complex images: its transfer matrix is not real at real s")
     det = functools.partial(zeta_det, group, rep=rep, n_basis=n_basis)
+    roots, nodes, tail = _chebyshev_roots(lambda s: det(s).real, lo, hi, tol / 4)
     zeros: list[tuple[complex, int]] = []
     for x, _ in roots:
         if zeros and abs(x - zeros[-1][0].real) < 5 * tol:

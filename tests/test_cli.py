@@ -25,6 +25,15 @@ def test_validate_ok(tmp_path):
     assert payload["config"]["group"] == "gamma_m:2"
 
 
+def test_validate_rejects_an_empty_group(tmp_path, capsys):
+    empty = json.dumps({"m": 0, "disks": [], "generators": []})
+    assert run(tmp_path, "validate", "--group", empty) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "GroupValidationError"
+    assert err["violations"] == ["m must be >= 1, got 0"]
+    assert not (tmp_path / "validate.csv").exists()
+
+
 def test_validate_rejects_bad_group(tmp_path, capsys):
     bad = {
         "m": 1,
@@ -135,6 +144,11 @@ def test_zeros_command(tmp_path):
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--x", "1.5"],
     ["charsum", "--d", ",", "--x", "100"],
     ["charsum", "--d", "5", "--x", ","],
+    ["np", "--group", "gamma_m:2", "--p", "x", "--sigma", "0.2"],
+    ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--no-such-flag"],
+    ["np", "--group", "gamma_m:2", "--p", "5"],
+    ["no-such-command"],
+    ["--config"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
         "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
@@ -149,7 +163,9 @@ def test_zeros_command(tmp_path):
         "distortion-delta-nan", "distortion-taus-empty", "np-sigma-inf", "np-sigma-nan",
         "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan",
         "zeta-rep-composite-modulus", "np-p-composite", "hs-sum-x-negative",
-        "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty"])
+        "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty",
+        "np-p-not-an-int", "unknown-flag", "missing-required-flag", "unknown-command",
+        "config-without-a-path"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)

@@ -219,6 +219,14 @@ def test_validation_names_a_missing_key(key):
         validate_group(spec)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_validation_rejects_a_group_without_generators(m):
+    # as gamma_m(0) does: m = 0 would pass the disk and generator counts with empty lists
+    with pytest.raises(GroupValidationError) as exc:
+        validate_group({"m": m, "disks": [], "generators": []})
+    assert exc.value.violations == [f"m must be >= 1, got {m}"]
+
+
 @pytest.mark.parametrize("field", ["center", "radius"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_validation_rejects_a_disk_that_is_not_finite(field, value):

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from schottky_zeta import gamma_m, real_zeros, refined_zeta, zeta_det
+from schottky_zeta import gamma_m, real_zeros, refined_zeta, zeta, zeta_det
 from schottky_zeta.congruence import _negation, _parity_basis, rep_lambda_p, rep_lambda_p0
 from schottky_zeta.reps import UnitaryRep, direct_sum, trivial_rep
 from schottky_zeta.schottky import validate_group
@@ -173,6 +173,39 @@ def test_a_complex_rep_raises_symmetry_error_on_the_real_axis(g2):
     assert not np.isreal(zeta_det(g2, 0.3, rep))
     with pytest.raises(SymmetryError):
         real_zeros(g2, rep, 0.1, 0.4)
+
+
+def test_a_complex_rep_raises_symmetry_error_before_any_determinant(g2, monkeypatch):
+    def no_determinant(*args, **kwargs):
+        raise AssertionError("zeta_det called")
+
+    monkeypatch.setattr(zeta, "zeta_det", no_determinant)
+    for rep in (_phase_rep(g2, 0.3), _swap_phase_rep(g2, 0.3)):
+        with pytest.raises(SymmetryError):
+            real_zeros(g2, rep, 0.1, 0.4)
+
+
+def test_real_reps_hold_float64_images_and_complex_reps_complex128(g2):
+    reps = {**_reps(g2, 5), "direct_sum": direct_sum(trivial_rep(g2), rep_lambda_p0(g2, 5)),
+            "phase": _phase_rep(g2, 0.3), "swap phase": _swap_phase_rep(g2, 0.3)}
+    for name, rep in reps.items():
+        dtype = np.complex128 if "phase" in name else np.float64
+        assert {u.dtype for u in rep.images.values()} == {np.dtype(dtype)}, name
+        assert rep.image((1, 2)).dtype == dtype
+
+
+def test_an_integer_permutation_rep_is_held_in_float64(g2):
+    # an integer incidence would read the float coefficients through a view
+    floats = rep_lambda_p(g2, 5)
+    ints = {a: u.astype(int) for a, u in floats.images.items()}
+    given = dict(ints)
+    rep = UnitaryRep(dim=6, images=ints, label="lambda_5 in integers", intertwiner=floats.intertwiner)
+    assert {u.dtype for u in rep.images.values()} == {np.dtype(np.float64)}
+    # the caller's dict holds the same integer arrays, with the same entries
+    assert all(ints[a] is given[a] and ints[a].dtype == int for a in g2.alphabet)
+    assert all(np.array_equal(ints[a], floats.images[a]) for a in g2.alphabet)
+    for s in (0.3, 0.2 + 0.7j):
+        assert zeta_det(g2, s, rep) == zeta_det(g2, s, floats)
 
 
 def test_a_wrong_intertwiner_is_rejected_when_the_plan_is_built(g2):
