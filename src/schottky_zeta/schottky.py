@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,6 +316,18 @@ class Partition:
 
 # -- validation ---------------------------------------------------------------
 
+
+def _integer(value, what: str, violations: list[str]) -> int:
+    """An int, or a float with an integral value such as 4.0, as an int. Any
+    other value (a bool, a string, a fractional or non-finite float) adds a
+    violation naming `what` and reads as 0: int() would read 1.5 as 1."""
+    integral = isinstance(value, float) and value.is_integer()
+    if integral or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    violations.append(f"{what} must be an integer, got {value!r}")
+    return 0
+
+
 def validate_group(spec: dict) -> SchottkyGroup:
     """Validate a raw group description (see the JSON schema in the README).
 
@@ -322,12 +335,14 @@ def validate_group(spec: dict) -> SchottkyGroup:
     """
     violations: list[str] = []
     try:
-        m = int(spec["m"])
+        m = _integer(spec["m"], "m", violations)
         raw_disks = spec["disks"]
         raw_gens = spec["generators"]
         disks = tuple(Disk(float(d["center"]), float(d["radius"])) for d in raw_disks)
     except KeyError as exc:
         raise GroupValidationError([f"group spec is missing the key {exc.args[0]!r}"]) from None
+    if violations:
+        raise GroupValidationError(violations)
     if m < 1:
         raise GroupValidationError([f"m must be >= 1, got {m}"])
     if len(raw_disks) != 2 * m:
@@ -337,7 +352,10 @@ def validate_group(spec: dict) -> SchottkyGroup:
     if spec.get("pairing", "standard") != "standard":
         raise GroupValidationError(["only the standard letter pairing is supported"])
 
-    gens = tuple(Moebius(int(g[0][0]), int(g[0][1]), int(g[1][0]), int(g[1][1])) for g in raw_gens)
+    gens = tuple(Moebius(*(_integer(g[i][j], f"generator {a} entry ({i + 1}, {j + 1})", violations)
+                           for i in range(2) for j in range(2))) for a, g in enumerate(raw_gens, 1))
+    if violations:
+        raise GroupValidationError(violations)
 
     for i, d in enumerate(disks):
         if not (math.isfinite(d.center) and math.isfinite(d.radius)):

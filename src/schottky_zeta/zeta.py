@@ -207,8 +207,21 @@ def refined_zeta(
     n_basis: int = DEFAULT_N,
 ) -> complex:
     """det(1 - L_{tau,s,rho}^2) of the truncated refined transfer operator,
-    factorised as det(1 - L_b) det(1 + L_b) over its blocks L_b."""
+    the product of det(1 - L_b^2) over its blocks L_b.
+
+    Where every block is small this is one trace, exact to rounding. With
+    h_b^2 = ||L_b||_F^2 < 1, log det(1 - L_b^2) = -sum_k tr(L_b^{2k}) / k,
+    |tr(A^k)| <= ||A||_1^k and ||L_b^2||_1 <= h_b^2 (Simon, Trace Ideals,
+    ch. 3), so the terms past k = 1 move log det by at most
+    h_b^4 / (2 (1 - h_b^2)). Where these bounds sum to at most machine epsilon,
+    below an LU's own rounding, the value is exp(-sum_b tr(L_b^2)), O(n^2) for
+    an n x n block. That holds on the right half of a Jensen circle, centred
+    at delta + K. Elsewhere it is det(1 - L_b) det(1 + L_b), two stacked LUs.
+    """
     blocks = assemble_refined(group, partition, s, rep, n_basis).blocks
+    hs2 = [np.vdot(b, b).real for b in blocks]
+    if all(h < 1 for h in hs2) and sum(h * h / (2 * (1 - h)) for h in hs2) <= np.finfo(float).eps:
+        return complex(np.exp(-np.einsum("bij,bji->", blocks, blocks)))
     minus = _shifted_det(blocks, 1.0)
     return complex(minus * _shifted_det(blocks, 2.0))  # 2 - (1 - L_b) = 1 + L_b
 

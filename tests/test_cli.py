@@ -48,6 +48,27 @@ def test_validate_rejects_bad_group(tmp_path, capsys):
     assert err["violations"]
 
 
+
+@pytest.mark.parametrize("where, value, violation", [
+    ("m", 1.5, "m must be an integer, got 1.5"),
+    ("generator", 4.7, "generator 1 entry (1, 1) must be an integer, got 4.7"),
+])
+def test_validate_rejects_a_non_integer_entry(tmp_path, capsys, where, value, violation):
+    spec = {
+        "m": 1,
+        "disks": [{"center": 4.0, "radius": 1.0}, {"center": -4.0, "radius": 1.0}],
+        "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]],
+    }
+    if where == "m":
+        spec["m"] = value
+    else:
+        spec["generators"][0][0][0] = value
+    assert run(tmp_path, "validate", "--group", json.dumps(spec)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "GroupValidationError"
+    assert err["violations"] == [violation]
+    assert not (tmp_path / "validate.csv").exists()
+
 def test_inline_group_spec(tmp_path):
     spec = {
         "m": 1,

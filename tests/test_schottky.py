@@ -279,3 +279,29 @@ def test_gamma_m_family_validates():
     for m in (1, 2, 3, 5):
         g = gamma_m(m)
         assert len(g.disks) == 2 * m
+
+
+@pytest.mark.parametrize("value", [1.5, 4.7, math.nan, math.inf, True, "4"])
+@pytest.mark.parametrize("where", ["m", "generator"])
+def test_validation_rejects_an_entry_that_is_not_an_integer(where, value):
+    # int() would read 1.5 as 1 and 4.7 as 4, and [[4.7, 15], [1, 4]] as gamma_m:1's generator
+    spec = {"m": 1, "disks": [{"center": 4.0, "radius": 1.0}, {"center": -4.0, "radius": 1.0}],
+            "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]]}
+    if where == "m":
+        spec["m"] = value
+        want = f"m must be an integer, got {value!r}"
+    else:
+        spec["generators"][1][0][1] = value
+        want = f"generator 2 entry (1, 2) must be an integer, got {value!r}"
+    with pytest.raises(GroupValidationError) as exc:
+        validate_group(spec)
+    assert exc.value.violations == [want]
+
+
+def test_validation_accepts_integral_floats():
+    spec = {"m": 1.0, "disks": [{"center": 4.0, "radius": 1.0}, {"center": -4.0, "radius": 1.0}],
+            "generators": [[[4.0, 15.0], [1.0, 4.0]], [[4, -15], [-1, 4.0]]]}
+    group = validate_group(spec)
+    assert group.m == 1 and type(group.m) is int
+    assert group.generators == gamma_m(1).generators
+    assert all(type(x) is int for g in group.generators for x in (g.a, g.b, g.c, g.d))

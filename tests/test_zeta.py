@@ -235,6 +235,94 @@ def test_refined_zeta_matches_squared_operator(g2, part2_64):
         assert refined_zeta(g2, part2_64, s, rep, n_basis=8) == pytest.approx(square, rel=1e-12)
 
 
+def _count_lu(monkeypatch):
+    """A list that grows by one per np.linalg.det call from now on."""
+    calls = []
+    real = np.linalg.det
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    return calls
+
+
+def _lu_product(blocks):
+    eye = np.eye(blocks.shape[-1])
+    return complex(np.prod(np.linalg.det(eye - blocks)) * np.prod(np.linalg.det(eye + blocks)))
+
+
+def _jensen_circle(d, sigma=0.2, K=2.0):
+    sigma0 = d + K
+    return sigma0, math.sqrt((sigma0 - sigma) ** 2 + 1.0) + 1.0 / K
+
+
+def test_refined_zeta_matches_the_lu_product_on_the_jensen_circle(g2, delta2, part2_64, monkeypatch):
+    # the upper half of the 128-point circle of jensen_bound(g2, 5, 0.2, 2^-6, K=2)
+    rep = rep_lambda_p0(g2, 5)
+    sigma0, r2 = _jensen_circle(delta2)
+    calls = _count_lu(monkeypatch)
+    fast = 0
+    for k in range(65):
+        s = sigma0 + r2 * cmath.exp(2j * math.pi * k / 128)
+        before = len(calls)
+        got = refined_zeta(g2, part2_64, s, rep)
+        lu = len(calls) > before
+        want = _lu_product(assemble_refined(g2, part2_64, s, rep).blocks)
+        fast += not lu
+        # on the left, where |zeta_tau| reaches 5e67, the reference's own order of
+        # rounding (1 + L_b from L_b, not from 1 - L_b) moves it by up to 2.6e-14
+        assert abs(got - want) <= (5e-14 if lu else 1e-14) * abs(want), (k, s)
+    assert fast > 65 // 2
+
+
+def test_jensen_bound_takes_most_of_the_circle_without_lu(g2, delta2, monkeypatch):
+    seen = []
+    real = zeta.refined_zeta
+
+    def counted(group, partition, s, *args):
+        seen.append(s)
+        return real(group, partition, s, *args)
+
+    monkeypatch.setattr(zeta, "refined_zeta", counted)
+    calls = _count_lu(monkeypatch)
+    jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, delta_value=delta2, theta_samples=64)
+    assert len(seen) == 66
+    # an evaluation through LU is two stacked determinants, det(1 - L_b) and det(1 + L_b)
+    assert len(calls) % 2 == 0
+    assert len(calls) // 2 < 66 / 2
+
+
+def test_refined_zeta_takes_the_circle_left_end_through_lu(g2, delta2, part2_64, monkeypatch):
+    rep = rep_lambda_p0(g2, 5)
+    sigma0, r2 = _jensen_circle(delta2)
+    calls = _count_lu(monkeypatch)
+    refined_zeta(g2, part2_64, sigma0 - r2, rep)
+    assert len(calls) == 2
+    refined_zeta(g2, part2_64, sigma0 + r2, rep)  # the right end takes the trace
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("s, through_lu", [(2.0 + 1.0j, False), (0.9 + 0.5j, True)])
+def test_refined_zeta_matches_a_30_digit_determinant(g2, part2_64, monkeypatch, s, through_lu):
+    # oracle: det(1 - L_b^2) of the same double blocks, squared and factored by LU in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    blocks = assemble_refined(g2, part2_64, s, None, n_basis=8).blocks
+    with mpmath.workdps(30):
+        want = mpmath.mpf(1)
+        for block in blocks:
+            m = mpmath.matrix(block.tolist())
+            want *= mpmath.det(mpmath.eye(block.shape[-1]) - m * m)
+        want = complex(want)
+    calls = _count_lu(monkeypatch)
+    got = refined_zeta(g2, part2_64, s, None, n_basis=8)
+    assert bool(calls) == through_lu
+    # zeta - 1 is 1.3e-8 at s = 2 + i, so dropping tr(L_b^2) would show
+    assert abs(want - 1) > 1e-9
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_jensen_bound_evaluates_each_point_once(g2, delta2, monkeypatch):
     seen = []
     real = zeta.refined_zeta
