@@ -23,7 +23,6 @@ from .transfer import (
     TransferMatrix,
     assemble_refined,
     assemble_standard,
-    bergman_kernel,
     hs_norm_integral,
     hs_norm_matrix,
 )

@@ -74,31 +74,32 @@ class Moebius:
         # valid because det = 1
         return Moebius(self.d, -self.b, -self.c, self.a)
 
-    def _den(self, z, what: str):
+    def _den(self, z: np.ndarray, what: str) -> np.ndarray:
         """c z + d, which must not vanish anywhere."""
         den = float(self.c) * z + float(self.d)
-        if (den == 0).any() if isinstance(den, np.ndarray) else den == 0:
+        if (den == 0).any():
             raise ZeroDivisionError(f"{what} evaluated at pole of {self}")
         return den
 
     def apply(self, z):
-        """Moebius image of a complex scalar or numpy array. A scalar is total
-        on the sphere: infinity maps to a/c and the pole to INF. An array that
-        contains the pole raises ZeroDivisionError."""
-        array = isinstance(z, np.ndarray)
-        if not array and cmath.isinf(z):
+        """Moebius image of a complex scalar or numpy array. A scalar is
+        evaluated as a one-element array, so it rounds as the same point inside
+        an array does, and is total on the sphere: infinity maps to a/c and the
+        pole to INF. An array that contains the pole raises ZeroDivisionError."""
+        if isinstance(z, np.ndarray):
+            return (float(self.a) * z + float(self.b)) / self._den(z, "image")
+        if cmath.isinf(z):
             return INF if self.c == 0 else float(self.a) / float(self.c)
         try:
-            den = self._den(z, "image")
+            return self.apply(np.array([z]))[0].item()
         except ZeroDivisionError:
-            if array:
-                raise
             return INF
-        return (float(self.a) * z + float(self.b)) / den
 
     def derivative(self, z):
-        """g'(z) = (c z + d)^-2 at a complex scalar or numpy array; the pole
-        raises ZeroDivisionError."""
+        """g'(z) = (c z + d)^-2 at a complex scalar (as a one-element array) or
+        numpy array; the pole raises ZeroDivisionError."""
+        if not isinstance(z, np.ndarray):
+            return self.derivative(np.array([z]))[0].item()
         den = self._den(z, "derivative")
         return 1.0 / (den * den)
 

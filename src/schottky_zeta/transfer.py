@@ -8,7 +8,10 @@ discrete Fourier coefficients. g_w maps the closed D_b into the open D_{w[0]}
 and has its pole in D_{bar(w[-1])} != D_b, so each summand is holomorphic on a
 neighbourhood of the closed disk and this is spectrally accurate.
 
-Hilbert-Schmidt norms are also computed from Bergman-kernel integrals.
+The same coefficients give the Hilbert-Schmidt pair integrals I_{a,b}: the
+Bergman kernel of a disk is sum_k e_k(z) conj(e_k(w)), so the kernel integral
+of two summands over their target disk is the Frobenius inner product of their
+coefficient matrices (`pair_integrals`).
 """
 
 from __future__ import annotations
@@ -21,27 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reps import UnitaryRep, trivial_rep
-from .schottky import Disk, Partition, SchottkyGroup, Word
+from .schottky import Partition, SchottkyGroup, Word
 
 DEFAULT_N = 16
 MAX_N = 128  # bounds each pair's N x 4N samples and the dense blocks
-DEFAULT_RADIAL_ORDER = 24
-DEFAULT_ANGULAR_ORDER = 48
-HS_CONVERGENCE_TOL = 1e-6  # agreement required between the HS integral and its doubled-order rerun
+HS_CONVERGENCE_TOL = 1e-6  # agreement required between the HS norm at DEFAULT_N and at DEFAULT_N - 4
 
 
 class QuadratureError(RuntimeError):
-    """Raised when refinement fails to stabilize an integral."""
-
-
-def bergman_kernel(disk: Disk, z: complex | np.ndarray, w: complex | np.ndarray):
-    """Reproducing kernel of the Bergman space of one disk (area measure),
-    elementwise on scalars or arrays."""
-    r2 = disk.radius**2
-    den = r2 - (z - disk.center) * (np.conjugate(w) - disk.center)
-    if np.any(den == 0):
-        raise ZeroDivisionError("Bergman kernel denominator vanishes on the boundary")
-    return r2 / (np.pi * den**2)
+    """Raised when an HS norm does not stabilize under truncation."""
 
 
 def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
@@ -109,6 +100,9 @@ class _OperatorPlan:
     pair in each slot, and empty slots weigh 0. Rows and columns run over
     (letter, rep index v, basis index k), so row (v, k) of block (b, a) is
     the incidence at (b, v, a) times its slots' coefficients of target k.
+
+    `pairs` are the evaluated pairs, in sorted order, and `target_scale` their
+    inverse target normalizations over target k, with the 1/n of the DFT.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
@@ -172,8 +166,18 @@ class _OperatorPlan:
         self.incidence[:, rows, :, 0, cols, :, ranks] = weighted
         self.slots = np.zeros((n_first, n_first, width), int)
         self.slots[rows, cols, ranks] = np.arange(count)
-        self.scale = np.array(scale).reshape(count, n_basis).T[:, self.slots, None]
+        self.pairs = tuple(evaluated)
+        self.target_scale = np.array(scale).reshape(count, n_basis)
+        self.scale = self.target_scale.T[:, self.slots, None]
         self.shape = (folds, n_first, rep.dim, n_basis, n_first, rep.dim, n_basis)
+
+    def coefficients(self, s: complex) -> np.ndarray:
+        """The evaluated pairs' Fourier coefficients at s, (pair, source k,
+        target k), before the target scale; a mirror column's are stored
+        times T. A view of one new array."""
+        coef = np.exp(s * self.log_deriv)[:, None, :] * self.samples
+        # each DFT in place over the contiguous last axis
+        return np.fft.fft(coef, out=coef)[:, :, :self.shape[-1]]
 
     def blocks(self, s: complex) -> np.ndarray:
         """The blocks of the operator at s, as in TransferMatrix, in one new
@@ -185,10 +189,8 @@ class _OperatorPlan:
         has real Taylor coefficients. The imaginary part of the DFT output is
         then rounding alone, and the blocks are its real part, real matrices.
         """
-        folds, n_basis, h = self.shape[0], self.shape[-1], int(np.prod(self.shape[1:4]))
-        coef = np.exp(s * self.log_deriv)[:, None, :] * self.samples
-        # (pair, source k, target k), each DFT in place over the contiguous last axis
-        coef = np.fft.fft(coef, out=coef)[:, :, :n_basis]
+        folds, h = self.shape[0], int(np.prod(self.shape[1:4]))
+        coef = self.coefficients(s)
         if np.isrealobj(self.incidence) and complex(s).imag == 0:
             coef = coef.real
         coef = np.take(coef.transpose(2, 0, 1), self.slots, axis=1)  # (target k, b, a, slot, source k)
@@ -221,6 +223,15 @@ class _OperatorPlan:
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _plan(group: SchottkyGroup, pairs, rep: UnitaryRep, n_basis: int) -> _OperatorPlan:
+    """The plan of (group, pairs, rep, n_basis), built on first use."""
+    plans = _PLANS.setdefault(rep, weakref.WeakKeyDictionary()).setdefault(group, {})
+    key = (tuple(sorted(pairs)), n_basis)
+    if key not in plans:
+        plans[key] = _OperatorPlan(group, key[0], rep, n_basis)
+    return plans[key]
+
+
 def assemble_pairs(
     group: SchottkyGroup,
     pairs: list[tuple[Word, int]],
@@ -236,12 +247,7 @@ def assemble_pairs(
     matrix."""
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    rep = rep if rep is not None else trivial_rep(group)
-    plans = _PLANS.setdefault(rep, weakref.WeakKeyDictionary()).setdefault(group, {})
-    key = (tuple(sorted(pairs)), n_basis)
-    if key not in plans:
-        plans[key] = _OperatorPlan(group, key[0], rep, n_basis)
-    plan = plans[key]
+    plan = _plan(group, pairs, rep if rep is not None else trivial_rep(group), n_basis)
     return TransferMatrix(plan.blocks(s), plan)
 
 
@@ -266,13 +272,13 @@ def assemble_refined(
 
 
 def hs_norm_matrix(tm: TransferMatrix) -> float:
-    """Frobenius norm of the truncation; oracle for the kernel-integral path.
+    """Frobenius norm of the truncation; oracle for the pair-integral path.
     The blocks are the matrix in an orthonormal basis of even and odd
     functions, so their norm is its norm."""
     return float(np.linalg.norm(tm.blocks))
 
 
-# -- Hilbert-Schmidt norm via kernel integrals ---------------------------------
+# -- Hilbert-Schmidt norm via pair integrals ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -281,54 +287,50 @@ class HSRecord:
     tau: float
     s: complex
     rep_label: str
-    radial_order: int
-    angular_order: int
+    n_basis: int
 
 
 def pair_integrals(
     group: SchottkyGroup,
     partition: Partition,
     s: complex,
-    radial_order: int = DEFAULT_RADIAL_ORDER,
-    angular_order: int = DEFAULT_ANGULAR_ORDER,
+    n_basis: int = DEFAULT_N,
 ) -> dict[tuple[Word, Word], complex]:
-    """The integrals I_{a,b} keyed by (w_a, w_b) in sorted order, each the
-    sum over target disks b, in increasing b, of the polar tensor rule on D_b.
+    """The integrals I_{a,b} keyed by (w_a, w_b) in sorted order: the sum,
+    over the target letters t that both pairs share, of <C_(a,t), C_(b,t)>_F,
+    with C_(w,t) the N x N coefficients of f |-> g_w'(.)^s f(g_w .) from
+    D_{w[0]} into D_t. That is the Bergman kernel of D_{w[0]} at (g_a z, g_b z)
+    times g_a'^s conj(g_b'^s), integrated over D_t and truncated at N; it
+    vanishes across source disks, so only pairs with w_a[0] = w_b[0] are kept.
 
-    Pairs whose images land in different source disks are dropped (the
-    Bergman kernel of a disjoint union vanishes across components).
+    One Gram product per (target, source) letter of the trivial rep's plan.
+    With the z -> -z symmetry the plan evaluates only the representative
+    targets, to a partial sum P, and C_(sigma w, sigma t) = T C_(w,t) T with
+    T = diag((-1)^k), so I(a, b) = P(a, b) + P(sigma a, sigma b). A mirror
+    column's coefficients are stored times T, which leaves these Gram entries
+    unchanged.
     """
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    if radial_order < 4:
-        raise ValueError("radial quadrature order must be >= 4")
-    nodes, weights = np.polynomial.legendre.leggauss(radial_order)
-    out: dict[tuple[Word, Word], complex] = {}
-    phis = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    for b in group.alphabet:
-        disk = group.disk(b)
-        rs = 0.5 * disk.radius * (nodes + 1.0)
-        wr = 0.5 * disk.radius * weights * rs          # includes the polar Jacobian r
-        wphi = 2.0 * np.pi / angular_order
-        zgrid = disk.center + rs[:, None] * np.exp(1j * phis)[None, :]
-        zflat = zgrid.ravel()
-        warr = (wr[:, None] * np.full((1, angular_order), wphi)).ravel()
-
-        arrows = sorted(w for w, t in partition.pairs if t == b)
-        cache = {}
-        for w in arrows:
-            images, log_w = _moebius_log(group, w, zflat)
-            cache[w] = images, np.exp(s * log_w)
-        for wa in arrows:
-            ia, pa = cache[wa]
-            for wb in arrows:
-                if wa[0] != wb[0]:
-                    continue  # images in different disks: kernel vanishes
-                ib, pb = cache[wb]
-                kernel = bergman_kernel(group.disk(wa[0]), ia, ib)
-                val = complex(np.sum(pa * np.conjugate(pb) * kernel * warr))
-                out[(wa, wb)] = out.get((wa, wb), 0) + val
-    return dict(sorted(out.items()))
+    plan = _plan(group, partition.pairs, trivial_rep(group), n_basis)
+    coef = (plan.coefficients(s) * plan.target_scale[:, None, :]).reshape(len(plan.pairs), -1)
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for i, (w, t) in enumerate(plan.pairs):
+        blocks.setdefault((t, w[0]), []).append(i)
+    partial: dict[tuple[Word, Word], complex] = {}
+    for _, index in sorted(blocks.items()):
+        rows = coef[index]
+        for i, gram in zip(index, (rows @ rows.conj().T).tolist()):
+            for j, val in zip(index, gram):
+                key = plan.pairs[i][0], plan.pairs[j][0]
+                partial[key] = partial.get(key, 0) + val
+    mirrored = {}
+    if plan.mirror is not None:
+        sigma = group.involution
+        image = {w: tuple(sigma[a - 1] for a in w) for w, _ in plan.pairs}
+        mirrored = {(image[wa], image[wb]): val for (wa, wb), val in partial.items()}
+    return {key: partial.get(key, 0) + mirrored.get(key, 0)
+            for key in sorted(partial.keys() | mirrored.keys())}
 
 
 def _trace_pair_sum(rep: UnitaryRep, ints: dict[tuple[Word, Word], complex]) -> float:
@@ -347,26 +349,20 @@ def hs_norm_integral(
     s: complex,
     rep: UnitaryRep | None = None,
 ) -> HSRecord:
-    """||L||_HS^2 summed from tr(rho(g_a^{-1} g_b)) I_{a,b} pair terms.
+    """||L||_HS^2 summed from tr(rho(g_a^{-1} g_b)) I_{a,b} pair terms, with
+    the pair integrals the Gram products of the plan's coefficients at
+    DEFAULT_N (`pair_integrals`, mirror targets through the sigma term).
 
-    Returns the record with value = the squared Hilbert-Schmidt norm at twice
-    the default quadrature orders, after checking it against the default orders.
+    The value is checked against the same sum at DEFAULT_N - 4, whose gap
+    bounds the truncation error at DEFAULT_N from above; QuadratureError
+    when they differ by more than HS_CONVERGENCE_TOL.
     """
     rep = rep if rep is not None else trivial_rep(group)
-
-    coarse = _trace_pair_sum(rep, pair_integrals(group, partition, s))
-    radial_order, angular_order = 2 * DEFAULT_RADIAL_ORDER, 2 * DEFAULT_ANGULAR_ORDER
-    value = _trace_pair_sum(rep, pair_integrals(group, partition, s, radial_order, angular_order))
+    value = _trace_pair_sum(rep, pair_integrals(group, partition, s))
+    coarse = _trace_pair_sum(rep, pair_integrals(group, partition, s, DEFAULT_N - 4))
     if abs(value - coarse) > HS_CONVERGENCE_TOL * max(1.0, abs(value)):
-        raise QuadratureError(f"HS integral not converged: {coarse} vs {value} at doubled order")
+        raise QuadratureError(
+            f"HS norm not converged: {coarse} at N = {DEFAULT_N - 4} vs {value} at N = {DEFAULT_N}")
     if value < 0:
         raise QuadratureError(f"negative squared HS norm {value}")
-    return HSRecord(
-        value=value,
-        tau=partition.tau,
-        s=s,
-        rep_label=rep.label,
-        radial_order=radial_order,
-        angular_order=angular_order,
-    )
-
+    return HSRecord(value=value, tau=partition.tau, s=s, rep_label=rep.label, n_basis=DEFAULT_N)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import dyadic_primes, log_weighted_sum
-from .congruence import lambda_p0_traces, rep_lambda_p0, surjective_mod_p, surjective_primes
+from .congruence import (SurjectivityError, lambda_p0_traces, rep_lambda_p0, surjective_mod_p,
+                         surjective_primes)
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Partition, SchottkyGroup, Word
 from .transfer import DEFAULT_N, _trace_pair_sum, assemble_refined, assemble_standard, pair_integrals
@@ -546,6 +547,8 @@ def jensen_bound(
         raise ValueError(f"sigma must be finite, got {sigma}")
     if not 0 < bound_tol < math.inf:
         raise ValueError(f"bound_tol must be positive and finite, got {bound_tol}")
+    if not surjective_mod_p(group, p):
+        raise SurjectivityError(f"reduction mod {p} is not surjective; the Jensen bound is undefined")
     d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")
@@ -602,7 +605,7 @@ def hs_prime_sum(
 ) -> HSPrimeSumRecord:
     """Two computation paths for sum over p ~ x of log(p) ||L_{tau,s,lambda_p^0}||^2_HS.
 
-    direct: per-prime kernel-integral HS norms with the materialized sum-zero
+    direct: per-prime pair-integral HS norms with the materialized sum-zero
     representation. decomposed: diagonal prime sum plus off-diagonal
     character sums via the fixed-line trace formula.
     """

@@ -216,6 +216,17 @@ def test_nan_tau_is_a_json_error(tmp_path, capsys, argv):
     assert not (tmp_path / f"{argv[0].replace('-', '_')}.csv").exists()
 
 
+def test_jensen_refuses_a_non_surjective_prime(tmp_path, capsys):
+    argv = ["jensen", "--group", "gamma_m:1", "--p", "5", "--sigma", "0.1", "--tau", "0.0625",
+            "--K", "2"]
+    assert run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert err["error_type"] == "SurjectivityError"
+    assert "surjective" in err["message"]
+    assert not (tmp_path / "jensen.csv").exists()
+
+
 def test_zeta_grid(tmp_path):
     assert run(tmp_path, "zeta", "--group", "gamma_m:2",
                "--re-lo", "0.5", "--re-hi", "1.0", "--points", "5") == 0

@@ -88,3 +88,20 @@ def test_zeta_reads_only_the_blocks_of_a_transfer_matrix():
 def test_arithmetic_imports_no_package_module():
     tree = ast.parse((PACKAGE_DIR / "arithmetic.py").read_text())
     assert [node.lineno for node in ast.walk(tree) if _is_package_import(node)] == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_boundary_samples_are_taken_only_by_the_plan():
+    # determinants, HS norms and pair integrals share one coefficient path:
+    # g_w is sampled on the target circle once, when an _OperatorPlan is built
+    sites = {path.name: len(_calls(ast.parse(path.read_text()), "_moebius_log"))
+             for path in PACKAGE_DIR.glob("*.py")}
+    assert sum(sites.values()) == 1
+    tree = ast.parse((PACKAGE_DIR / "transfer.py").read_text())
+    plan = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "_OperatorPlan")
+    assert len(_calls(plan, "_moebius_log")) == 1

@@ -8,14 +8,14 @@ import pytest
 from schottky_zeta import gamma_m, hs_norm_integral, hs_norm_matrix, zeta_det
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import UnitaryRep, trivial_rep
-from schottky_zeta.schottky import SchottkyGroup
+from schottky_zeta.schottky import Moebius, SchottkyGroup, validate_group
 from schottky_zeta.transfer import (
+    DEFAULT_N,
     QuadratureError,
     _moebius_log,
     assemble_pairs,
     assemble_refined,
     assemble_standard,
-    bergman_kernel,
     pair_integrals,
 )
 from schottky_zeta.zeta import leading_eigenvalue
@@ -29,6 +29,48 @@ def _polar_grid(disk, n_r=60, n_phi=120):
     z = disk.center + rs[:, None] * np.exp(1j * phis)[None, :]
     w = wr[:, None] * np.full((1, n_phi), 2.0 * np.pi / n_phi)
     return z.ravel(), w.ravel()
+
+
+def _bergman_kernel(disk, z, w):
+    """Reproducing kernel of the Bergman space of one disk (area measure),
+    elementwise."""
+    r2 = disk.radius**2
+    return r2 / (np.pi * (r2 - (z - disk.center) * (np.conjugate(w) - disk.center)) ** 2)
+
+
+def _polar_pair_integrals(group, partition, s, n_r=24, n_phi=48):
+    """Oracle for pair_integrals, independent of the boundary DFT: on each
+    target disk, the polar Gauss-Legendre x trapezoid rule of
+    g_a'^s conj(g_b'^s) K(g_a z, g_b z), K the Bergman kernel of D_{w_a[0]},
+    for every two words of one target and one source letter."""
+    out = {}
+    for b in group.alphabet:
+        z, wt = _polar_grid(group.disk(b), n_r, n_phi)
+        words = sorted(w for w, t in partition.pairs if t == b)
+        at = {}
+        for w in words:
+            g = group.word_matrix(w)
+            at[w] = g.apply(z), g.derivative(z) ** s
+        for wa in words:
+            for wb in words:
+                if wa[0] == wb[0]:
+                    (za, pa), (zb, pb) = at[wa], at[wb]
+                    kernel = _bergman_kernel(group.disk(wa[0]), za, zb)
+                    out[wa, wb] = out.get((wa, wb), 0) + complex(np.sum(pa * np.conj(pb) * kernel * wt))
+    return dict(sorted(out.items()))
+
+
+def _translate(group, b):
+    """group conjugated by z -> z + b, which moves every disk by b, so that
+    z -> -z is no symmetry of it."""
+    shift = Moebius(1, b, 0, 1)
+    generators = [shift @ g @ shift.inverse() for g in group.generators]
+    return validate_group({
+        "m": group.m,
+        "disks": [{"center": disk.center + b, "radius": disk.radius} for disk in group.disks],
+        "generators": [[[h.a, h.b], [h.c, h.d]] for h in generators],
+        "label": f"{group.label}+{b}",
+    })
 
 
 def _basis(disk, k, z):
@@ -49,7 +91,7 @@ def test_bergman_kernel_reproduces(g2):
     disk = g2.disk(2)
     z0 = disk.center + 0.3 * disk.radius + 0.2j * disk.radius
     w, wt = _polar_grid(disk)
-    val = np.sum(np.array([bergman_kernel(disk, z0, x) for x in w]) * w**2 * wt)
+    val = np.sum(np.array([_bergman_kernel(disk, z0, x) for x in w]) * w**2 * wt)
     assert val == pytest.approx(z0**2, rel=1e-10)
 
 
@@ -137,6 +179,32 @@ def test_pair_integrals_cross_disk_dropped(g2, part2_64):
         assert shared and all(wa[-1] != g2.bar(b) and wb[-1] != g2.bar(b) for b in shared)
 
 
+@pytest.mark.parametrize("s", [0.9, 0.85, 0.9 + 0.2j, 0.3 + 2j])
+@pytest.mark.parametrize("group_name, tau", [("gamma_m:2", 2.0**-5), ("gamma_m:2", 2.0**-6),
+                                             ("gamma_m:2", 2.0**-8), ("gamma_m:3", 2.0**-5),
+                                             ("no involution", 2.0**-6)])
+def test_pair_integrals_match_the_polar_quadrature(group_name, tau, s):
+    group = {"gamma_m:2": gamma_m(2), "gamma_m:3": gamma_m(3),
+             "no involution": _translate(gamma_m(2), 1)}[group_name]
+    assert (group.involution is None) == (group_name == "no involution")
+    partition = group.partition(tau)
+    got, want = pair_integrals(group, partition, s), _polar_pair_integrals(group, partition, s)
+    assert list(got) == list(want)
+    err = max(abs(got[key] - want[key]) for key in want)
+    assert err <= 1e-13 * max(map(abs, want.values()))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_pair_integrals_are_invariant_under_the_involution(m):
+    # the mirror targets enter as P(sigma a, sigma b) beside P(a, b)
+    group = gamma_m(m)
+    sigma = group.involution
+    for s in (0.9, 0.3 + 2j):
+        ints = pair_integrals(group, group.partition(2.0**-6), s)
+        for (wa, wb), val in ints.items():
+            assert ints[tuple(sigma[a - 1] for a in wa), tuple(sigma[a - 1] for a in wb)] == val
+
+
 def test_hs_two_paths_agree(g2, part2_64):
     rec = hs_norm_integral(g2, part2_64, 0.9)
     fro = hs_norm_matrix(assemble_refined(g2, part2_64, 0.9, n_basis=24)) ** 2
@@ -156,7 +224,7 @@ def test_hs_rep_dimension_scaling(g2, part2_64):
 
 def test_hs_quadrature_error(g2, part2_64):
     with pytest.raises(ValueError):
-        pair_integrals(g2, part2_64, 0.9, radial_order=2)
+        pair_integrals(g2, part2_64, 0.9, n_basis=0)
 
 
 def test_hs_record_metadata(g2, part2_64):
@@ -164,8 +232,8 @@ def test_hs_record_metadata(g2, part2_64):
     assert rec.tau == part2_64.tau
     assert rec.rep_label == "trivial"
     assert len(pair_integrals(g2, part2_64, 0.8)) > 0
-    # the orders that produced value: twice the defaults of pair_integrals
-    assert (rec.radial_order, rec.angular_order) == (48, 96)
+    # the truncation that produced value, checked against DEFAULT_N - 4
+    assert rec.n_basis == DEFAULT_N
 
 
 def _per_pair_matrix(group, pairs, s, rep, n_basis):

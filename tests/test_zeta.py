@@ -17,7 +17,7 @@ from schottky_zeta import (
     zeta,
     zeta_det,
 )
-from schottky_zeta.congruence import rep_lambda_p0
+from schottky_zeta.congruence import SurjectivityError, rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
 from schottky_zeta.schottky import SchottkyGroup, validate_group
 from schottky_zeta.transfer import assemble_refined
@@ -392,6 +392,16 @@ def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatc
     for bound_tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             jensen_bound(g2, 5, 0.2, 2.0**-6, bound_tol=bound_tol)
+
+
+def test_jensen_bound_refuses_a_non_surjective_prime_before_delta(monkeypatch):
+    # gamma_m(1) reduces to a cyclic group mod 5; delta must not be computed
+    def unexpected(*args, **kwargs):
+        raise AssertionError("delta computed for a non-surjective prime")
+
+    monkeypatch.setattr(zeta, "delta", unexpected)
+    with pytest.raises(SurjectivityError, match="not surjective"):
+        jensen_bound(gamma_m(1), 5, 0.1, 2.0**-4, K=2)
 
 
 def test_real_zeros_rejects_an_empty_range_before_any_determinant(g2, monkeypatch):
