@@ -272,9 +272,8 @@ def assemble_refined(
 
 
 def hs_norm_matrix(tm: TransferMatrix) -> float:
-    """Frobenius norm of the truncation; oracle for the pair-integral path.
-    The blocks are the matrix in an orthonormal basis of even and odd
-    functions, so their norm is its norm."""
+    """Frobenius norm of the truncation, that of its blocks in an orthonormal
+    basis of even and odd functions; oracle for the pair-integral path."""
     return float(np.linalg.norm(tm.blocks))
 
 
@@ -304,33 +303,35 @@ def pair_integrals(
     vanishes across source disks, so only pairs with w_a[0] = w_b[0] are kept.
 
     One Gram product per (target, source) letter of the trivial rep's plan.
-    With the z -> -z symmetry the plan evaluates only the representative
-    targets, to a partial sum P, and C_(sigma w, sigma t) = T C_(w,t) T with
-    T = diag((-1)^k), so I(a, b) = P(a, b) + P(sigma a, sigma b). A mirror
-    column's coefficients are stored times T, which leaves these Gram entries
-    unchanged.
+    With the z -> -z symmetry the plan evaluates the representative targets
+    alone, to a partial sum P, and I(a, b) = P(a, b) + P(sigma a, sigma b):
+    C_(sigma w, sigma t) = T C_(w,t) T with T = diag((-1)^k), and a mirror
+    column's coefficients, stored times T, have the same Gram entries.
     """
+    return next(_pair_integrals(group, partition, s, n_basis, (n_basis,)))
+
+
+def _pair_integrals(group: SchottkyGroup, partition: Partition, s: complex, n_basis: int, truncations):
+    """`pair_integrals` at each n <= n_basis in truncations, from one plan's n x n corners."""
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     plan = _plan(group, partition.pairs, trivial_rep(group), n_basis)
-    coef = (plan.coefficients(s) * plan.target_scale[:, None, :]).reshape(len(plan.pairs), -1)
+    coef = plan.coefficients(s) * plan.target_scale[:, None, :]
     blocks: dict[tuple[int, int], list[int]] = {}
     for i, (w, t) in enumerate(plan.pairs):
         blocks.setdefault((t, w[0]), []).append(i)
-    partial: dict[tuple[Word, Word], complex] = {}
-    for _, index in sorted(blocks.items()):
-        rows = coef[index]
-        for i, gram in zip(index, (rows @ rows.conj().T).tolist()):
-            for j, val in zip(index, gram):
-                key = plan.pairs[i][0], plan.pairs[j][0]
-                partial[key] = partial.get(key, 0) + val
-    mirrored = {}
-    if plan.mirror is not None:
-        sigma = group.involution
-        image = {w: tuple(sigma[a - 1] for a in w) for w, _ in plan.pairs}
-        mirrored = {(image[wa], image[wb]): val for (wa, wb), val in partial.items()}
-    return {key: partial.get(key, 0) + mirrored.get(key, 0)
-            for key in sorted(partial.keys() | mirrored.keys())}
+    image = {w: tuple(group.involution[a - 1] for a in w) for w, _ in plan.pairs} if plan.mirror else {}
+    for n in truncations:
+        partial: dict[tuple[Word, Word], complex] = {}
+        for _, index in sorted(blocks.items()):
+            rows = coef[index, :n, :n].reshape(len(index), -1)
+            for i, gram in zip(index, (rows @ rows.conj().T).tolist()):
+                for j, val in zip(index, gram):
+                    key = plan.pairs[i][0], plan.pairs[j][0]
+                    partial[key] = partial.get(key, 0) + val
+        mirrored = {(image[wa], image[wb]): val for (wa, wb), val in partial.items()} if image else {}
+        yield {key: partial.get(key, 0) + mirrored.get(key, 0)
+               for key in sorted(partial.keys() | mirrored.keys())}
 
 
 def _trace_pair_sum(rep: UnitaryRep, ints: dict[tuple[Word, Word], complex]) -> float:
@@ -350,16 +351,15 @@ def hs_norm_integral(
     rep: UnitaryRep | None = None,
 ) -> HSRecord:
     """||L||_HS^2 summed from tr(rho(g_a^{-1} g_b)) I_{a,b} pair terms, with
-    the pair integrals the Gram products of the plan's coefficients at
-    DEFAULT_N (`pair_integrals`, mirror targets through the sigma term).
-
-    The value is checked against the same sum at DEFAULT_N - 4, whose gap
-    bounds the truncation error at DEFAULT_N from above; QuadratureError
-    when they differ by more than HS_CONVERGENCE_TOL.
+    I_{a,b} the coefficient Gram sums of `pair_integrals` at DEFAULT_N.
+    QuadratureError when that differs by more than HS_CONVERGENCE_TOL from the
+    same sum over the leading (DEFAULT_N - 4)-square corners of the same
+    coefficients: the gap estimates the truncation error at DEFAULT_N, and
+    bounds it only if that error at least halves from DEFAULT_N - 4 on.
     """
     rep = rep if rep is not None else trivial_rep(group)
-    value = _trace_pair_sum(rep, pair_integrals(group, partition, s))
-    coarse = _trace_pair_sum(rep, pair_integrals(group, partition, s, DEFAULT_N - 4))
+    value, coarse = (_trace_pair_sum(rep, ints) for ints in
+                     _pair_integrals(group, partition, s, DEFAULT_N, (DEFAULT_N, DEFAULT_N - 4)))
     if abs(value - coarse) > HS_CONVERGENCE_TOL * max(1.0, abs(value)):
         raise QuadratureError(
             f"HS norm not converged: {coarse} at N = {DEFAULT_N - 4} vs {value} at N = {DEFAULT_N}")

@@ -236,8 +236,7 @@ def test_hs_prime_sum_decomposed_runs_no_primality_test(g2, monkeypatch):
     monkeypatch.setattr(congruence, "is_prime", no_is_prime)
     rec = hs_prime_sum(g2, 2.0**-6, 0.9, 1e5, mode="decomposed")
     assert len(rec.primes) == 4459
-    # pinned from the polar-quadrature pair integrals; the coefficient Gram agrees to rounding
-    assert rec.decomposed == pytest.approx(3579390.9600619413, rel=1e-13, abs=0)
+    assert rec.decomposed == 3579390.96006194
 
 
 def test_hs_prime_sum_direct_mode_rejects_primes_past_the_cap(g2):
