@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .congruence import (
     lambda_p0_traces,
     rep_lambda_p,
     rep_lambda_p0,
+    surjective_mod_p,
     trace_bruteforce,
 )
 from .schottky import (
@@ -170,10 +172,10 @@ def cmd_zeta(args, outdir: Path) -> dict:
 def cmd_zeros(args, outdir: Path) -> dict:
     group = load_group(args.group)
     rep = load_rep(group, args.rep)
-    report = real_zeros(group, rep, args.lo, args.hi, tol=args.tol, n_basis=args.n_basis)
-    rows = [[z.real, z.imag, m, (z * (1 - z)).real] for z, m in report.zeros]
-    _write_csv(outdir / "zeros.csv", ["re_s", "im_s", "multiplicity", "lambda"], rows)
-    return report.as_dict()
+    report = real_zeros(group, rep, args.lo, args.hi, tol=args.tol, n_basis=args.n_basis).as_dict()
+    header = ["re_s", "im_s", "multiplicity", "lambda"]
+    _write_csv(outdir / "zeros.csv", header, [[z[k] for k in header] for z in report["zeros"]])
+    return report
 
 
 def cmd_delta(args, outdir: Path) -> dict:
@@ -199,9 +201,8 @@ def cmd_trace_check(args, outdir: Path) -> dict:
         raise ValueError(f"no hyperbolic word of length <= {args.max_len} to check")
     results = []
     for p in primes_between(args.pmin - 1, args.pmax):
-        closure = closure_size(group, p)
-        surjective = closure == p * (p * p - 1)
-        results.append({"p": p, "surjective": surjective, "closure_size": closure,
+        surjective = surjective_mod_p(group, p)
+        results.append({"p": p, "surjective": surjective, "closure_size": closure_size(group, p),
                         "words_checked": len(hyperbolic) if surjective else 0, "mismatches": 0})
     checked = [r for r in results if r["surjective"]]
     if not checked:
@@ -244,10 +245,7 @@ def cmd_hs_sum(args, outdir: Path) -> dict:
     ]]
     _write_csv(outdir / "hs_sum.csv",
                ["tau", "s", "x", "direct", "decomposed", "diagonal", "offdiagonal"], rows)
-    return {"tau": rec.tau, "s": str(rec.s), "x": rec.x, "primes": list(rec.primes),
-            "direct": rec.direct, "decomposed": rec.decomposed,
-            "diagonal": rec.diagonal, "off_diagonal": rec.off_diagonal,
-            "fallback_pairs": rec.fallback_pairs}
+    return asdict(rec)
 
 
 def cmd_jensen(args, outdir: Path) -> dict:
@@ -297,59 +295,49 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; every command runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each flag that several commands share is declared once, in a parent parser
+    group, n_basis, rep, prime, tau = (_Parser(add_help=False) for _ in range(5))
+    group.add_argument("--group", required=True)
+    n_basis.add_argument("--n-basis", type=int, default=DEFAULT_N)
+    rep.add_argument("--rep", default="trivial")
+    prime.add_argument("--p", type=int, required=True)
+    prime.add_argument("--sigma", type=float, required=True)
+    tau.add_argument("--tau", type=float, required=True)
+
     add = sub.add_parser
 
-    p = add("validate")
-    p.add_argument("--group", required=True)
+    add("validate", parents=[group])
 
-    p = add("words")
-    p.add_argument("--group", required=True)
+    p = add("words", parents=[group])
     p.add_argument("--length", type=int, required=True)
 
-    p = add("partition")
-    p.add_argument("--group", required=True)
-    p.add_argument("--tau", type=float, required=True)
+    add("partition", parents=[group, tau])
 
-    p = add("distortion")
-    p.add_argument("--group", required=True)
+    p = add("distortion", parents=[group, n_basis])
     p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--taus", default="0.01,0.001")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--n-basis", type=int, default=DEFAULT_N)
 
-    p = add("zeta")
-    p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="trivial")
+    p = add("zeta", parents=[group, rep, n_basis])
     p.add_argument("--re-lo", type=float, required=True)
     p.add_argument("--re-hi", type=float, required=True)
     p.add_argument("--im", type=float, default=0.0)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--refined", action="store_true")
     p.add_argument("--tau", type=float, default=2.0**-6)
-    p.add_argument("--n-basis", type=int, default=DEFAULT_N)
 
-    p = add("zeros")
-    p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="trivial")
+    p = add("zeros", parents=[group, rep, n_basis])
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--n-basis", type=int, default=DEFAULT_N)
 
-    p = add("delta")
-    p.add_argument("--group", required=True)
+    p = add("delta", parents=[group, n_basis])
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--n-basis", type=int, default=DEFAULT_N)
 
-    p = add("np")
-    p.add_argument("--group", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p = add("np", parents=[group, prime, n_basis])
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--n-basis", type=int, default=DEFAULT_N)
 
-    p = add("trace-check")
-    p.add_argument("--group", required=True)
+    p = add("trace-check", parents=[group])
     p.add_argument("--max-len", type=int, default=6)
     p.add_argument("--pmin", type=int, default=5)
     p.add_argument("--pmax", type=int, default=47)
@@ -358,20 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="comma-separated discriminants")
     p.add_argument("--x", required=True, help="comma-separated dyadic endpoints")
 
-    p = add("hs-sum")
-    p.add_argument("--group", required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p = add("hs-sum", parents=[group, tau])
     p.add_argument("--s", default="0.9", help="complex point, e.g. 0.9+0.5j")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mode", choices=["direct", "decomposed", "both"], default="both")
 
-    p = add("jensen")
-    p.add_argument("--group", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p = add("jensen", parents=[group, prime, tau, n_basis])
     p.add_argument("--K", type=float, default=6.0)
-    p.add_argument("--n-basis", type=int, default=DEFAULT_N)
     p.add_argument("--theta-samples", type=int, default=512)
     p.add_argument("--bound-tol", type=float, default=0.1)
 

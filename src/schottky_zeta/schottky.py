@@ -11,7 +11,7 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -446,18 +446,7 @@ class DistortionReport:
     contraction_exponent: float            # fitted theta with max |g_w'| ~ theta^|w|
 
     def as_dict(self) -> dict:
-        return {
-            "max_len": self.max_len,
-            "taus": list(self.taus),
-            "delta_used": self.delta_used,
-            "deriv_ratio": list(self.deriv_ratio),
-            "ups_vs_deriv": list(self.ups_vs_deriv),
-            "mirror_ratio": list(self.mirror_ratio),
-            "product_ratio": list(self.product_ratio),
-            "norm_sqrt_tau": list(self.norm_sqrt_tau),
-            "y_count_band": list(self.y_count_band),
-            "contraction_exponent": self.contraction_exponent,
-        }
+        return asdict(self)
 
     def min_max(self) -> dict[str, tuple[float, float]]:
         """The observed (min, max) pair of each distortion quantity, by name."""

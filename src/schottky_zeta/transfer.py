@@ -103,6 +103,11 @@ class _OperatorPlan:
 
     `pairs` are the evaluated pairs, in sorted order, and `target_scale` their
     inverse target normalizations over target k, with the 1/n of the DFT.
+
+    Each pair is sampled at n = max(4N, 32) points of its target circle:
+    fewer alias onto the leading coefficients, and with the floor a basis of
+    N < 8 gives the leading corner of the N = 8 blocks. The rep is validated
+    (`UnitaryRep.validate`) before any sample is taken.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
@@ -116,6 +121,7 @@ class _OperatorPlan:
                 raise ValueError("transfer operator words must be nonempty")
             if w[-1] == group.bar(b):
                 raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
+        rep.validate(group)
         sigma = group.involution
         parity = (-1.0) ** np.arange(n_basis)
         if sigma is not None and rep.intertwiner is not None and set(pairs) == {
@@ -133,7 +139,7 @@ class _OperatorPlan:
         folds, n_first = (1 if self.mirror is None else 2), len(first)
         position = {a: i for i, a in enumerate(self.letters)}
         evaluated = [(w, b) for w, b in pairs if position[b] < n_first]
-        n_samp = 4 * n_basis
+        n_samp = max(4 * n_basis, 32)  # 4N points alias below N = 8
         circle = np.exp(1j * (2.0 * np.pi * np.arange(n_samp) / n_samp))
         ks = np.arange(n_basis)
         norm = np.sqrt((ks + 1) / np.pi)                 # basis normalization times r
@@ -174,10 +180,20 @@ class _OperatorPlan:
     def coefficients(self, s: complex) -> np.ndarray:
         """The evaluated pairs' Fourier coefficients at s, (pair, source k,
         target k), before the target scale; a mirror column's are stored
-        times T. A view of one new array."""
-        coef = np.exp(s * self.log_deriv)[:, None, :] * self.samples
-        # each DFT in place over the contiguous last axis
-        return np.fft.fft(coef, out=coef)[:, :, :self.shape[-1]]
+        times T. One new array, filled chunk by chunk of pairs: each chunk's
+        samples, at most 2^20, are weighted and transformed in one buffer, of
+        which the first N outputs of each DFT are kept."""
+        count, n_basis, n_samp = self.samples.shape
+        step = max(1, 2**20 // (n_basis * n_samp))
+        out = np.empty((count, n_basis, n_basis), complex)
+        buffer = np.empty((min(step, count), n_basis, n_samp), complex)
+        for i in range(0, count, step):
+            coef = buffer[:count - i]
+            weight = np.exp(s * self.log_deriv[i:i + step])[:, None, :]
+            np.multiply(weight, self.samples[i:i + step], out=coef)
+            # each DFT in place over the contiguous last axis
+            out[i:i + step] = np.fft.fft(coef, out=coef)[:, :, :n_basis]
+        return out
 
     def blocks(self, s: complex) -> np.ndarray:
         """The blocks of the operator at s, as in TransferMatrix, in one new

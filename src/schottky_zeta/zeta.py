@@ -505,11 +505,14 @@ def new_eigenvalue_count(
     n_basis: int = DEFAULT_N,
     delta_value: float | None = None,
 ) -> int:
-    """Number of zeros of Z(., lambda_p^0) in [sigma, delta], with multiplicity."""
+    """Number of zeros of Z(., lambda_p^0) in [sigma, delta], with multiplicity.
+
+    A prime whose reduction is not onto SL_2(F_p) raises SurjectivityError
+    before delta is computed; sigma above delta counts 0 without a search."""
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if not surjective_mod_p(group, p):
-        raise ValueError(f"reduction mod {p} is not surjective; the induced-rep count is invalid")
+        raise SurjectivityError(f"reduction mod {p} is not surjective; the induced-rep count is invalid")
     d = delta_value if delta_value is not None else delta(group, tol=min(tol, 1e-6), n_basis=n_basis)
     if sigma > d:
         return 0
@@ -607,7 +610,9 @@ def hs_prime_sum(
 
     direct: per-prime pair-integral HS norms with the materialized sum-zero
     representation. decomposed: diagonal prime sum plus off-diagonal
-    character sums via the fixed-line trace formula.
+    character sums via the fixed-line trace formula. A prime p ~ x whose
+    reduction is not onto SL_2(F_p) raises SurjectivityError before any pair
+    integral.
     """
     if mode not in ("direct", "decomposed", "both"):
         raise ValueError(f"mode must be 'direct', 'decomposed' or 'both', got {mode!r}")
@@ -620,7 +625,7 @@ def hs_prime_sum(
         raise ValueError(f"p={primes[-1]} exceeds the direct-mode cap DIRECT_P_CAP={DIRECT_P_CAP}")
     onto = surjective_primes(group, prime_array)
     if not onto.all():
-        raise ValueError(f"reduction mod {prime_array[~onto][0]} not surjective; prime sum undefined")
+        raise SurjectivityError(f"reduction mod {prime_array[~onto][0]} not surjective; prime sum undefined")
 
     ints = pair_integrals(group, partition, s)
 

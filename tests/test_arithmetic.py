@@ -21,7 +21,7 @@ from schottky_zeta.arithmetic import (
     kronecker_over_primes,
 )
 from schottky_zeta.cli import main
-from schottky_zeta.congruence import _is_pm_identity
+from schottky_zeta.congruence import SurjectivityError, _is_pm_identity
 from schottky_zeta import congruence, transfer, zeta
 
 
@@ -226,6 +226,15 @@ def test_hs_prime_sum_rejects_nonsurjective():
     # gamma_m:1 reduces to a cyclic subgroup mod small primes in this range
     with pytest.raises(ValueError):
         hs_prime_sum(g1, 2.0**-6, 0.9, 4.0)
+
+
+def test_hs_prime_sum_refuses_a_non_surjective_prime_before_any_pair_integral(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("pair integrals computed for a non-surjective prime")
+
+    monkeypatch.setattr(zeta, "pair_integrals", unexpected)
+    with pytest.raises(SurjectivityError, match="not surjective"):
+        hs_prime_sum(gamma_m(1), 2.0**-6, 0.9, 60.0)
 
 
 def test_hs_prime_sum_decomposed_runs_no_primality_test(g2, monkeypatch):

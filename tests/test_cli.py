@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from schottky_zeta import cli, zeta
+from schottky_zeta import cli, gamma_m, zeta
 from schottky_zeta.cli import main
-from schottky_zeta.congruence import _closure_size, closure_size
+from schottky_zeta.congruence import _closure_size, closure_size, rep_lambda_p
 
 
 def run(tmp_path, *args):
@@ -170,6 +170,8 @@ def test_zeros_command(tmp_path):
     ["np", "--group", "gamma_m:2", "--p", "5"],
     ["no-such-command"],
     ["--config"],
+    ["zeta", "--group", "gamma_m:2", "--rep", "sym2", "--re-lo", "0.5", "--re-hi", "1.0"],
+    ["validate", "--group", "no/such/group.json"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
         "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
@@ -186,7 +188,7 @@ def test_zeros_command(tmp_path):
         "zeta-rep-composite-modulus", "np-p-composite", "hs-sum-x-negative",
         "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty",
         "np-p-not-an-int", "unknown-flag", "missing-required-flag", "unknown-command",
-        "config-without-a-path"])
+        "config-without-a-path", "zeta-unknown-rep", "unresolvable-group"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)
@@ -225,6 +227,47 @@ def test_jensen_refuses_a_non_surjective_prime(tmp_path, capsys):
     assert err["error_type"] == "SurjectivityError"
     assert "surjective" in err["message"]
     assert not (tmp_path / "jensen.csv").exists()
+
+
+@pytest.mark.parametrize("argv, patched", [
+    (["np", "--group", "gamma_m:1", "--p", "5", "--sigma", "0.1"], "delta"),
+    (["hs-sum", "--group", "gamma_m:1", "--tau", "0.015625", "--x", "60"], "pair_integrals"),
+], ids=["np", "hs-sum"])
+def test_a_non_surjective_prime_is_one_refusal(tmp_path, capsys, monkeypatch, argv, patched):
+    # gamma_m:1 reduces to a cyclic group at every p: refused before delta or any pair integral
+    def unexpected(*args, **kwargs):
+        raise AssertionError(f"{patched} computed for a non-surjective prime")
+
+    monkeypatch.setattr(zeta, patched, unexpected)
+    assert run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "SurjectivityError"
+    assert "surjective" in err["message"]
+    assert not (tmp_path / f"{argv[0].replace('-', '_')}.csv").exists()
+
+
+def test_zeta_takes_the_induced_rep(tmp_path):
+    assert run(tmp_path, "zeta", "--group", "gamma_m:2", "--rep", "lambda_p:5", "--re-lo", "0.5",
+               "--re-hi", "1.0", "--points", "2", "--n-basis", "4") == 0
+    with open(tmp_path / "zeta.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    group = gamma_m(2)
+    rep = rep_lambda_p(group, 5)
+    for row, s in zip(rows, (0.5, 1.0)):
+        assert float(row["re_s"]) == s
+        assert complex(float(row["det_re"]), float(row["det_im"])) == zeta.zeta_det(group, s, rep, 4)
+
+
+def test_zeros_csv_rows_are_the_report_zeros(tmp_path):
+    assert run(tmp_path, "zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4",
+               "--n-basis", "8") == 0
+    zeros = read_json(tmp_path, "zeros.json")["report"]["zeros"]
+    with open(tmp_path / "zeros.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(zeros) == 1
+    for row, z in zip(rows, zeros):
+        assert {k: float(v) for k, v in row.items()} == z
+        assert z["lambda"] == z["re_s"] * (1 - z["re_s"])
 
 
 def test_zeta_grid(tmp_path):
@@ -291,6 +334,30 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(tmp_path), "validate"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "bogus_key" in err["message"]
+
+
+def test_config_rejects_a_value_that_is_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["group", "gamma_m:2"]))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "validate"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValueError"
+    assert err["message"] == "config file must contain a JSON object"
+
+
+def test_config_supplies_the_shared_required_flags(tmp_path):
+    # --group, --tau, --p and --sigma are each one action shared by several commands
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "gamma_m:2", "tau": 0.015625, "p": 5, "sigma": 0.2}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "partition"]) == 0
+    assert read_json(tmp_path, "partition.json")["config"]["tau"] == 0.015625
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "np", "--n-basis", "8"]) == 0
+    config = read_json(tmp_path, "np.json")["config"]
+    assert (config["group"], config["p"], config["sigma"]) == ("gamma_m:2", 5, 0.2)
+    # zeta's own --tau is optional, with the config value as its default
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "zeta", "--re-lo", "0.5",
+                 "--re-hi", "1.0", "--points", "2", "--n-basis", "4"]) == 0
+    assert read_json(tmp_path, "zeta.json")["config"]["tau"] == 0.015625
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from schottky_zeta import (
     closure_size,
+    congruence,
     congruence_norm_check,
     coset_perm,
     gamma_m,
@@ -181,6 +182,13 @@ def test_a_cyclic_reduction_is_not_onto_at_any_prime():
         assert p * (p * p - 1) % size == 0, p
         assert not surjective_mod_p(group, p), p
     assert not surjective_primes(group, np.array(primes_between(222, 2000))).any()
+
+
+def test_the_bfs_refuses_a_closure_past_its_cap(g2, monkeypatch):
+    # |SL_2(F_7)| = 336; the uncached BFS stops once it has seen more than the cap
+    monkeypatch.setattr(congruence, "CLOSURE_CAP", 100)
+    with pytest.raises(SurjectivityError, match="exceeds enumeration cap 100"):
+        _closure_size.__wrapped__(g2, 7)
 
 
 def test_a_composite_modulus_past_the_cap_is_refused_up_front(g2):

@@ -227,6 +227,19 @@ def test_validation_rejects_a_group_without_generators(m):
     assert exc.value.violations == [f"m must be >= 1, got {m}"]
 
 
+@pytest.mark.parametrize("change, violation", [
+    ({"disks": [{"center": 4.0, "radius": 1.0}]}, "expected 2 disks, got 1"),
+    ({"generators": [[[4, 15], [1, 4]]] * 3}, "expected 2 generators, got 3"),
+    ({"pairing": "custom"}, "only the standard letter pairing is supported"),
+], ids=["disk-count", "generator-count", "pairing"])
+def test_validation_refuses_the_wrong_shape(change, violation):
+    spec = {"m": 1, "disks": [{"center": 4.0, "radius": 1.0}, {"center": -4.0, "radius": 1.0}],
+            "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]], **change}
+    with pytest.raises(GroupValidationError) as exc:
+        validate_group(spec)
+    assert exc.value.violations == [violation]
+
+
 @pytest.mark.parametrize("field", ["center", "radius"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_validation_rejects_a_disk_that_is_not_finite(field, value):

@@ -255,7 +255,7 @@ def _coefficients(group, w, b, s, n_basis):
     """The N x N Fourier coefficients (target k, source k) of
     f |-> g_w'(.)^s f(g_w .) from the basis of D_{w[0]} into that of D_b."""
     target, source = group.disk(b), group.disk(w[0])
-    n_samp = 4 * n_basis
+    n_samp = max(4 * n_basis, 32)
     ks = np.arange(n_basis)
     zs = target.center + target.radius * np.exp(2j * np.pi * np.arange(n_samp) / n_samp)
     images, log_w = _moebius_log(group, w, zs)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,10 +10,12 @@ from schottky_zeta import gamma_m, hs_norm_integral, hs_norm_matrix, zeta_det
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import UnitaryRep, trivial_rep
 from schottky_zeta.schottky import Moebius, SchottkyGroup, validate_group
+from schottky_zeta import transfer
 from schottky_zeta.transfer import (
     DEFAULT_N,
     QuadratureError,
     _moebius_log,
+    _OperatorPlan,
     assemble_pairs,
     assemble_refined,
     assemble_standard,
@@ -241,7 +244,7 @@ def _per_pair_matrix(group, pairs, s, rep, n_basis):
     rho(g_w)^{-1} added into its block."""
     n = n_basis * rep.dim
     out = np.zeros((2 * group.m * n,) * 2, dtype=complex)
-    n_samp = 4 * n_basis
+    n_samp = max(4 * n_basis, 32)
     theta = 2.0 * np.pi * np.arange(n_samp) / n_samp
     ks = np.arange(n_basis)
     for w, b in sorted(pairs):
@@ -270,6 +273,57 @@ def test_assemble_pairs_matches_per_pair_kron(g2, part2_64, s, rep_name, operato
     got = assemble_pairs(g2, pairs, s, rep, n_basis=8).matrix
     want = _per_pair_matrix(g2, pairs, s, rep, 8)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_basis", [4, 6])
+def test_a_small_basis_is_the_corner_of_a_larger_one(g2, n_basis):
+    # at least 32 boundary samples at every N: 4N samples alias below N = 8
+    rep = rep_lambda_p0(g2, 47)
+
+    def blocks(n):
+        tm = assemble_standard(g2, 0.3, rep, n)
+        return tm.blocks.reshape(tm.plan.shape)
+
+    assert np.array_equal(blocks(n_basis), blocks(8)[:, :, :, :n_basis, :, :, :n_basis])
+
+
+def _whole_coefficients(plan, s):
+    """Reference for `_OperatorPlan.coefficients`: one DFT of every pair's samples at once."""
+    coef = np.exp(s * plan.log_deriv)[:, None, :] * plan.samples
+    return np.fft.fft(coef, out=coef)[:, :, :plan.shape[-1]]
+
+
+def test_coefficients_are_taken_in_chunks_of_pairs():
+    group = gamma_m(8)
+    plan = _OperatorPlan(group, tuple(sorted(group.standard_pairs)), trivial_rep(group), 64)
+    assert plan.samples.size > 2**20  # more than one chunk
+
+    def traced_blocks():
+        tracemalloc.start()
+        try:
+            return plan.blocks(0.9), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunked, chunked_peak = traced_blocks()
+    plan.coefficients = lambda s: _whole_coefficients(plan, s)
+    whole, whole_peak = traced_blocks()
+    assert np.array_equal(chunked, whole)
+    assert chunked_peak < whole_peak
+
+
+@pytest.mark.parametrize("image, violation", [
+    (2.0, "image of letter 1 is not unitary"),
+    (1j, "image of letter 3 is not the adjoint of letter 1"),
+], ids=["scaled", "not-adjoint"])
+def test_a_rep_that_is_not_unitary_is_refused_before_any_coefficient(g2, monkeypatch, image, violation):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("coefficients computed for an invalid rep")
+
+    monkeypatch.setattr(transfer, "_moebius_log", unexpected)
+    rep = UnitaryRep(dim=1, images={a: np.full((1, 1), image) for a in g2.alphabet}, label="bad")
+    with pytest.raises(ValueError, match=violation):
+        zeta_det(g2, 0.9, rep, n_basis=4)
 
 
 def test_operator_data_is_built_once_per_rep(g2, monkeypatch):

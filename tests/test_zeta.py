@@ -23,6 +23,7 @@ from schottky_zeta.schottky import SchottkyGroup, validate_group
 from schottky_zeta.transfer import assemble_refined
 from schottky_zeta.zeta import (
     ConvergenceError,
+    _winding_number,
     delta_bisection,
     delta_from_zeta,
     leading_eigenvalue,
@@ -442,6 +443,61 @@ def test_new_eigenvalue_count_rejects_bad_modulus(g2):
     # both generators reduce to the same involution mod 2
     with pytest.raises(ValueError):
         new_eigenvalue_count(g2, 2, 0.2)
+
+
+def test_new_eigenvalue_count_refuses_a_non_surjective_prime_before_delta(monkeypatch):
+    # gamma_m(1) reduces to a cyclic group mod 5; delta must not be computed
+    def unexpected(*args, **kwargs):
+        raise AssertionError("delta computed for a non-surjective prime")
+
+    monkeypatch.setattr(zeta, "delta", unexpected)
+    with pytest.raises(SurjectivityError, match="not surjective"):
+        new_eigenvalue_count(gamma_m(1), 5, 0.1)
+
+
+def test_new_eigenvalue_count_above_delta_is_zero_without_a_search(g2, delta2, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no zero search above delta")
+
+    monkeypatch.setattr(zeta, "real_zeros", unexpected)
+    assert new_eigenvalue_count(g2, 5, delta2 + 0.01, delta_value=delta2) == 0
+
+
+def _circle_around(zero):
+    """values(n) of the unit circle for z |-> z - zero, and the sample counts asked for."""
+    asked = []
+
+    def values(n):
+        asked.append(n)
+        return list(np.exp(2j * np.pi * np.arange(n) / n) - zero)
+
+    return values, asked
+
+
+def test_winding_number_refines_near_a_zero_on_the_contour():
+    # at 8 samples the phase of z - 0.98 jumps by nearly pi across z = 1
+    values, asked = _circle_around(0.98)
+    assert _winding_number(values, 8, 6) == 1
+    assert asked[0] == 8 and asked == [8 * 2**k for k in range(len(asked))] and len(asked) > 1
+    values, asked = _circle_around(1.02)
+    assert _winding_number(values, 8, 6) == 0
+
+
+def test_winding_number_refuses_a_contour_that_does_not_resolve():
+    values, asked = _circle_around(0.98)
+    with pytest.raises(ConvergenceError, match="did not stabilize"):
+        _winding_number(values, 8, 2)
+    assert asked == [8, 16]
+
+
+def test_real_zeros_confirms_one_zero_per_cluster_of_candidates(g2, delta2, monkeypatch):
+    # two sign changes 2 tol apart: the second is inside the first's circle of
+    # radius 5 tol and is not confirmed a second time
+    tol = 1e-6
+    monkeypatch.setattr(zeta, "_chebyshev_roots",
+                        lambda f, lo, hi, tol4: ([(delta2, True), (delta2 + 2 * tol, True)], 17, 0.0))
+    report = real_zeros(g2, None, 0.1, 0.4, tol=tol)
+    assert report.zeros == [(complex(delta2), 1)]
 
 
 def test_delta_increases_with_m(g2, g3):
