@@ -351,10 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mode", choices=["direct", "decomposed", "both"], default="both")
 
-    p = add("jensen", parents=[group, prime, tau, n_basis])
+    # jensen declares its own --n-basis: a default set on the shared action
+    # would change it for every command that lists the n_basis parent
+    p = add("jensen", parents=[group, prime, tau])
     p.add_argument("--K", type=float, default=6.0)
     p.add_argument("--theta-samples", type=int, default=512)
     p.add_argument("--bound-tol", type=float, default=0.1)
+    p.add_argument("--n-basis", type=int, default=None,
+                   help=f"truncation N (default: the first of N = 8, 12, ..., {DEFAULT_N} whose "
+                        "bound on the first circle is within --bound-tol of the bound at N - 4)")
 
     return parser
 

@@ -25,7 +25,7 @@ CHEB_TAIL_TOL = 1e-13              # converged once the tail coefficients fall b
 CHEB_DIP = 100.0                   # a |proxy| dip below this many tail bounds may hide a zero
 RECT_SAMPLES_PER_EDGE = 16
 RECT_MAX_REFINEMENTS = 6
-BOUNDARY_FLOOR = 1e-13             # |det| below this on a rectangle edge counts as a zero there
+BOUNDARY_FLOOR = 1e-13             # |det| at most this share of a contour's largest counts as a zero on it
 CIRCLE_SAMPLES = 32
 CIRCLE_MAX_REFINEMENTS = 5
 JENSEN_MAX_DOUBLINGS = 3
@@ -437,24 +437,25 @@ def count_zeros_rect(
 
     rect = (lower-left, upper-right), finite, lower-left strictly left of and
     below upper-right. Sampling is refined adaptively until consecutive phase
-    increments stay below pi/2.
+    increments stay below pi/2. A sample whose |det| is at most BOUNDARY_FLOOR
+    times the largest on the same contour raises BoundaryZeroError: the floor
+    is relative, since near the zero of high order at s = 0 every |det| is tiny.
     """
     z0, z1 = map(complex, rect)
     if not (cmath.isfinite(z0) and cmath.isfinite(z1) and z0.real < z1.real and z0.imag < z1.imag):
         raise ValueError(f"need finite corners, lower-left below and left of upper-right, got {rect}")
     corners = [z0, complex(z1.real, z0.imag), z1, complex(z0.real, z1.imag)]
 
-    @functools.cache
-    def f(s: complex) -> complex:
-        v = zeta_det(group, s, rep, n_basis)
-        if abs(v) < BOUNDARY_FLOOR:
-            raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
-        return v
+    f = functools.cache(functools.partial(zeta_det, group, rep=rep, n_basis=n_basis))
 
     def boundary(n_per_edge: int) -> list[complex]:
         ts = np.arange(n_per_edge) / n_per_edge
-        return [f(complex(a + t * (b - a)))
-                for a, b in zip(corners, corners[1:] + corners[:1]) for t in ts]
+        values = [f(complex(a + t * (b - a)))
+                  for a, b in zip(corners, corners[1:] + corners[:1]) for t in ts]
+        mags = np.abs(values)
+        if mags.min() <= BOUNDARY_FLOOR * mags.max():
+            raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
+        return values
 
     return _winding_number(boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
@@ -527,7 +528,7 @@ def jensen_bound(
     sigma: float,
     tau: float,
     K: float = 6.0,
-    n_basis: int = DEFAULT_N,
+    n_basis: int | None = None,
     delta_value: float | None = None,
     theta_samples: int = 512,
     bound_tol: float = 0.1,
@@ -541,6 +542,14 @@ def jensen_bound(
     has real images, so zeta_tau is real on R). Zeros of zeta_tau near its left
     edge make the integrand spiky, so the sampling is doubled until the implied
     bound moves by less than bound_tol (measured in zeros, not relatively).
+
+    n_basis=None chooses the truncation N by its N - 4 evidence: the implied
+    bound on the first circle of theta_samples points is taken at N = 4, 8,
+    ..., DEFAULT_N, and the first N >= 8 whose bound is within bound_tol of
+    the bound at N - 4 is kept; the doubling then runs at that N on the same
+    cached circle. A gap still above bound_tol at DEFAULT_N raises
+    ConvergenceError. An explicit n_basis is used as given. delta, when not
+    supplied, is computed at DEFAULT_N in the first case.
     """
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
@@ -552,7 +561,10 @@ def jensen_bound(
         raise ValueError(f"bound_tol must be positive and finite, got {bound_tol}")
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective; the Jensen bound is undefined")
-    d = delta_value if delta_value is not None else delta(group, tol=1e-6, n_basis=n_basis)
+    if delta_value is not None:
+        d = delta_value
+    else:
+        d = delta(group, tol=1e-6, n_basis=DEFAULT_N if n_basis is None else n_basis)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")
     partition = group.partition(tau)
@@ -560,16 +572,29 @@ def jensen_bound(
     sigma0 = d + K
     r1 = math.sqrt((sigma0 - sigma) ** 2 + 1.0)
     r2 = r1 + 1.0 / K
-
-    center_val = abs(refined_zeta(group, partition, sigma0, rep, n_basis))
-    if center_val < 1e-12:
-        raise ValueError("refined zeta nearly vanishes at the Jensen center")
-
     log_ratio = math.log(r2 / r1)
-    circle = _real_circle(lambda s: refined_zeta(group, partition, s, rep, n_basis), sigma0, r2)
 
-    def circle_mean(n: int) -> float:
-        return float(np.mean([math.log(abs(v)) for v in circle(n)]))
+    def truncation(n_basis: int):
+        """(log|zeta_tau(sigma_0)|, the circle mean of log|zeta_tau| on n points) at N = n_basis."""
+        center_val = abs(refined_zeta(group, partition, sigma0, rep, n_basis))
+        if center_val < 1e-12:
+            raise ValueError("refined zeta nearly vanishes at the Jensen center")
+        circle = _real_circle(lambda s: refined_zeta(group, partition, s, rep, n_basis), sigma0, r2)
+        return math.log(center_val), lambda n: float(np.mean([math.log(abs(v)) for v in circle(n)]))
+
+    if n_basis is not None:
+        log_center, circle_mean = truncation(n_basis)
+    else:
+        bounds = []  # the implied bound on the first circle at N = 4, 8, ...
+        for n_basis in range(4, DEFAULT_N + 1, 4):
+            log_center, circle_mean = truncation(n_basis)
+            bounds.append((circle_mean(theta_samples) - log_center) / log_ratio)
+            if len(bounds) > 1 and abs(bounds[-1] - bounds[-2]) <= bound_tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"Jensen bound not converged in N: it moves by {abs(bounds[-1] - bounds[-2]):.3g} "
+                f"zeros from N = {DEFAULT_N - 4} to N = {DEFAULT_N}, above bound_tol={bound_tol}")
 
     n, val = theta_samples, circle_mean(theta_samples)
     for _ in range(JENSEN_MAX_DOUBLINGS):
@@ -579,7 +604,7 @@ def jensen_bound(
     else:
         raise ConvergenceError("Jensen circle integral did not stabilize")
 
-    bound = (val - math.log(center_val)) / log_ratio
+    bound = (val - log_center) / log_ratio
     return max(bound, 0.0)
 
 

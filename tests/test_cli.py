@@ -413,3 +413,37 @@ def test_delta_command_runs_each_method_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["delta_bisection", "delta_from_zeta"]
     report = read_json(tmp_path, "delta.json")["report"]
     assert report["delta"] == report["bisection"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["distortion", "--group", "gamma_m:2"],
+    ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4"],
+    ["delta", "--group", "gamma_m:2"],
+    ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2"],
+], ids=lambda argv: argv[0])
+def test_jensen_alone_leaves_n_basis_unset(argv):
+    # jensen's --n-basis defaults to None; the shared action keeps DEFAULT_N for the rest
+    parser = cli.build_parser()
+    assert parser.parse_args(argv).n_basis == cli.DEFAULT_N
+    jensen = ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625"]
+    assert parser.parse_args(jensen).n_basis is None
+    assert parser.parse_args(argv).n_basis == cli.DEFAULT_N
+
+
+def test_config_fixes_the_jensen_basis(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_basis": 12}))
+    argv = ["--config", str(cfg), "jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2",
+            "--tau", "0.015625"]
+    assert cli._apply_config(cli.build_parser(), argv).n_basis == 12
+    assert cli._apply_config(cli.build_parser(), argv + ["--n-basis", "8"]).n_basis == 8
+
+
+def test_jensen_help_states_how_n_is_chosen(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(["jensen", "-h"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"N = 8, 12, ..., {cli.DEFAULT_N}" in text
+    assert "within --bound-tol of the bound at N - 4" in text

@@ -20,8 +20,9 @@ from schottky_zeta import (
 from schottky_zeta.congruence import SurjectivityError, rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
 from schottky_zeta.schottky import SchottkyGroup, validate_group
-from schottky_zeta.transfer import assemble_refined
+from schottky_zeta.transfer import DEFAULT_N, assemble_refined
 from schottky_zeta.zeta import (
+    BoundaryZeroError,
     ConvergenceError,
     _winding_number,
     delta_bisection,
@@ -220,6 +221,23 @@ def test_rect_count_rejects_bad_corners_before_any_determinant(g2, monkeypatch, 
         count_zeros_rect(g2, None, rect)
 
 
+def test_rect_count_near_the_zero_at_zero(g2):
+    # every |det| on this contour is below 1e-15, next to the zero of high order at s = 0
+    assert count_zeros_rect(g2, rep_lambda_p0(g2, 5), (2e-5 - 1e-5j, 6e-5 + 1e-5j)) == 0
+
+
+def test_rect_count_refuses_a_zero_sample_on_the_contour(g2, delta2, monkeypatch):
+    rect = (complex(delta2 - 0.05, -0.05), complex(delta2 + 0.05, 0.05))
+    real = zeta.zeta_det
+
+    def patched(group, s, *args, **kwargs):
+        return 0j if s == rect[0] else real(group, s, *args, **kwargs)
+
+    monkeypatch.setattr(zeta, "zeta_det", patched)
+    with pytest.raises(BoundaryZeroError, match="determinant vanishes on the rectangle boundary"):
+        count_zeros_rect(g2, None, rect)
+
+
 def test_refined_zeta_vanishes_at_zeros(g2, delta2, part2_64):
     # zeros of det(1 - L_s) are zeros of the refined zeta
     assert abs(refined_zeta(g2, part2_64, delta2, n_basis=24)) < 1e-6
@@ -288,7 +306,7 @@ def test_jensen_bound_takes_most_of_the_circle_without_lu(g2, delta2, monkeypatc
 
     monkeypatch.setattr(zeta, "refined_zeta", counted)
     calls = _count_lu(monkeypatch)
-    jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, delta_value=delta2, theta_samples=64)
+    jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, n_basis=DEFAULT_N, delta_value=delta2, theta_samples=64)
     assert len(seen) == 66
     # an evaluation through LU is two stacked determinants, det(1 - L_b) and det(1 + L_b)
     assert len(calls) % 2 == 0
@@ -376,6 +394,82 @@ def test_jensen_bound_raises_convergence_error_when_the_doublings_run_out(g2, de
     with pytest.raises(ConvergenceError, match="Jensen circle integral did not stabilize"):
         jensen_bound(g2, 5, 0.2, 2.0**-5, K=2.0, n_basis=8, delta_value=delta2,
                      theta_samples=8, bound_tol=1e-300)
+
+
+def _count_by_basis(monkeypatch, shift=None, sigma0=None, log_ratio=None):
+    """A dict from N to the points refined_zeta is evaluated at with n_basis = N. With
+    shift, off-centre values at N are scaled by exp(shift[N] log_ratio), which moves the
+    implied Jensen bound at N by exactly shift[N] zeros."""
+    seen = {}
+    real = zeta.refined_zeta
+
+    def counted(group, partition, s, rep, n_basis):
+        seen.setdefault(n_basis, []).append(s)
+        value = real(group, partition, s, rep, n_basis)
+        if shift and s != sigma0:
+            value *= math.exp(shift[n_basis] * log_ratio)
+        return value
+
+    monkeypatch.setattr(zeta, "refined_zeta", counted)
+    return seen
+
+
+def test_jensen_bound_takes_n_from_the_n_minus_4_gap(g2, delta2, monkeypatch):
+    # the refined-jensen input: N = 4 and N = 8 agree on the first circle to 5e-4 zeros
+    seen = _count_by_basis(monkeypatch)
+    jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, delta_value=delta2, theta_samples=64)
+    sigma0 = delta2 + 2.0
+    assert sorted(seen) == [4, 8]
+    # N = 4: the centre and the closed upper half of the 64-point circle
+    assert seen[4][0] == sigma0 and len(set(seen[4][1:])) == 33
+    # N = 8: the same, then the doubled circle's 32 new points, where it converged
+    assert seen[8][0] == sigma0 and len(set(seen[8][1:])) == 65
+    assert seen[8][1:34] == seen[4][1:]
+    assert all(s.imag >= 0 for s in seen[4] + seen[8])
+
+
+@pytest.mark.parametrize("sigma", [0.1925, 0.2, 0.2075])
+def test_jensen_bound_by_default_agrees_with_the_default_n(g2, delta2, sigma):
+    args = (g2, 5, sigma, 2.0**-6)
+    chosen = jensen_bound(*args, K=2.0, delta_value=delta2, theta_samples=64)
+    fixed = jensen_bound(*args, K=2.0, n_basis=DEFAULT_N, delta_value=delta2, theta_samples=64)
+    assert chosen == pytest.approx(fixed, rel=1e-9)
+
+
+def test_jensen_bound_at_an_explicit_n_evaluates_that_n_alone(g2, monkeypatch):
+    seen = _count_by_basis(monkeypatch)
+    bound = jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, theta_samples=64, n_basis=DEFAULT_N)
+    assert sorted(seen) == [DEFAULT_N]
+    # the bound before N was chosen, bit for bit on the machine that recorded it
+    assert bound == pytest.approx(110.69247822729196, rel=1e-15)
+
+
+def _jensen_log_ratio(d, K=2.0):
+    sigma0, r2 = _jensen_circle(d, K=K)
+    return sigma0, math.log(r2 / (r2 - 1.0 / K))
+
+
+def test_jensen_bound_climbs_while_the_n_minus_4_gap_exceeds_bound_tol(g2, delta2, monkeypatch):
+    # bound_tol 0.1: the gap is 0.3 from N = 4 to 8, then 0.05 from 8 to 12
+    shift = {4: 0.0, 8: 0.3, 12: 0.35, 16: 0.36}
+    sigma0, log_ratio = _jensen_log_ratio(delta2)
+    want = jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, n_basis=12, delta_value=delta2, theta_samples=64)
+    seen = _count_by_basis(monkeypatch, shift, sigma0, log_ratio)
+    got = jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, delta_value=delta2, theta_samples=64)
+    assert sorted(seen) == [4, 8, 12]
+    assert len(seen[4]) == len(seen[8]) == 1 + 33 and len(seen[12]) == 1 + 65
+    assert got == pytest.approx(want + 0.35, rel=1e-12)
+
+
+def test_jensen_bound_raises_when_the_default_n_misses_bound_tol(g2, delta2, monkeypatch):
+    shift = {4: 0.0, 8: 0.3, 12: 0.6, 16: 0.9}
+    sigma0, log_ratio = _jensen_log_ratio(delta2)
+    seen = _count_by_basis(monkeypatch, shift, sigma0, log_ratio)
+    with pytest.raises(ConvergenceError, match=r"moves by 0\.3 zeros from N = 12 to N = 16"):
+        jensen_bound(g2, 5, 0.2, 2.0**-6, K=2.0, delta_value=delta2, theta_samples=64)
+    # no doubling: each rung saw the centre and the first circle only
+    assert sorted(seen) == [4, 8, 12, 16]
+    assert all(len(points) == 1 + 33 for points in seen.values())
 
 
 def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatch):
