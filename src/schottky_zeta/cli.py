@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +245,8 @@ def cmd_hs_sum(args, outdir: Path) -> dict:
     ]]
     _write_csv(outdir / "hs_sum.csv",
                ["tau", "s", "x", "direct", "decomposed", "diagonal", "offdiagonal"], rows)
-    return asdict(rec)
+    # a shallow dict: asdict would copy the primes one element at a time
+    return {f.name: getattr(rec, f.name) for f in fields(rec)}
 
 
 def cmd_jensen(args, outdir: Path) -> dict:

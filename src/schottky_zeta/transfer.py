@@ -87,11 +87,12 @@ class _OperatorPlan:
     diag((-1)^k) (x) V (Borthwick and Weich, J. Spectral Theory 6, 2016).
     The letters a < sigma(a) come first, then their mirrors, and only the
     pairs whose target is one of the first are evaluated. In that order the
-    operator is [[A, B], [T B T, T A T]], `mirror` is the signed permutation
-    T = (perm, sign) of one half, (T x)[i] = sign[i] x[perm[i]], and the
-    evaluated rows are [A | B T]; the blocks of the operator on the even and
-    odd functions are A + B T and A - B T. Otherwise every letter is a
-    representative and the one block is the whole matrix.
+    operator is [[A, B], [T B T, T A T]], T is a signed permutation of one half,
+    (T x)[i] = sign[i] x[perm[i]], built by `unfold` at its truncation from
+    `mirror`, the rep's intertwiner, and the evaluated rows are [A | B T]; the
+    blocks of the operator on the even and odd functions are A + B T and
+    A - B T. Otherwise every letter is a representative, the one block is the
+    whole matrix and `mirror` is None.
 
     `incidence` is that fold as data, sparse by letter block: pair i, the
     j-th of block (b, a) with a = w[0] or its representative, puts
@@ -104,18 +105,14 @@ class _OperatorPlan:
     `pairs` are the evaluated pairs, in sorted order, and `target_scale` their
     inverse target normalizations over target k, with the 1/n of the DFT.
 
-    Each pair is sampled at n = max(4N, 32) points of its target circle:
-    fewer alias onto the leading coefficients, and with the floor a basis of
-    N < 8 gives the leading corner of the N = 8 blocks. The rep is validated
-    (`UnitaryRep.validate`) before any sample is taken.
+    Each pair is sampled at 4N points of its target circle, and the plan
+    serves every truncation n <= N (`coefficients`, `blocks`) with the n x n
+    corners of its coefficients. The rep is validated (`UnitaryRep.validate`)
+    before any sample is taken.
     """
 
     def __init__(self, group: SchottkyGroup, pairs: tuple[tuple[Word, int], ...],
                  rep: UnitaryRep, n_basis: int):
-        if n_basis < 1:
-            raise ValueError("n_basis must be >= 1")
-        if n_basis > MAX_N:
-            raise ValueError(f"n_basis {n_basis} exceeds cap {MAX_N}")
         for w, b in pairs:
             if not w:
                 raise ValueError("transfer operator words must be nonempty")
@@ -123,23 +120,19 @@ class _OperatorPlan:
                 raise ValueError(f"word {w} cannot act on disk {b}: image leaves the disks")
         rep.validate(group)
         sigma = group.involution
-        parity = (-1.0) ** np.arange(n_basis)
         if sigma is not None and rep.intertwiner is not None and set(pairs) == {
                 (tuple(sigma[a - 1] for a in w), sigma[b - 1]) for w, b in pairs}:
             v = rep.check_intertwiner(sigma)
             first = tuple(a for a in group.alphabet if a < sigma[a - 1])
             self.letters = first + tuple(sigma[a - 1] for a in first)
-            perm, sign = rep.intertwiner
-            half = np.arange(len(first) * rep.dim * n_basis).reshape(len(first), rep.dim, n_basis)
-            self.mirror = (half[:, perm].ravel(),
-                           np.broadcast_to(sign[:, None] * parity, half.shape).ravel())
+            self.mirror = rep.intertwiner
         else:
             first = self.letters = tuple(group.alphabet)
             self.mirror = None
         folds, n_first = (1 if self.mirror is None else 2), len(first)
         position = {a: i for i, a in enumerate(self.letters)}
         evaluated = [(w, b) for w, b in pairs if position[b] < n_first]
-        n_samp = max(4 * n_basis, 32)  # 4N points alias below N = 8
+        n_samp = 4 * n_basis
         circle = np.exp(1j * (2.0 * np.pi * np.arange(n_samp) / n_samp))
         ks = np.arange(n_basis)
         norm = np.sqrt((ks + 1) / np.pi)                 # basis normalization times r
@@ -158,7 +151,7 @@ class _OperatorPlan:
             if a >= n_first:
                 # a column of a mirror letter, stored times T = diag((-1)^k) (x) V,
                 # adds to A + B T and subtracts from A - B T
-                sample, rho, signs, a = parity[:, None] * sample, rho @ v, (1.0, -1.0), a - n_first
+                sample, rho, signs, a = (-1.0) ** ks[:, None] * sample, rho @ v, (1.0, -1.0), a - n_first
             samples.append(sample)
             weighted.append(np.multiply.outer(signs[:folds], rho))
             filled[position[b], a] = filled.get((position[b], a), -1) + 1
@@ -175,29 +168,29 @@ class _OperatorPlan:
         self.pairs = tuple(evaluated)
         self.target_scale = np.array(scale).reshape(count, n_basis)
         self.scale = self.target_scale.T[:, self.slots, None]
-        self.shape = (folds, n_first, rep.dim, n_basis, n_first, rep.dim, n_basis)
 
-    def coefficients(self, s: complex) -> np.ndarray:
+    def coefficients(self, s: complex, n: int) -> np.ndarray:
         """The evaluated pairs' Fourier coefficients at s, (pair, source k,
-        target k), before the target scale; a mirror column's are stored
-        times T. One new array, filled chunk by chunk of pairs: each chunk's
-        samples, at most 2^20, are weighted and transformed in one buffer, of
-        which the first N outputs of each DFT are kept."""
-        count, n_basis, n_samp = self.samples.shape
-        step = max(1, 2**20 // (n_basis * n_samp))
-        out = np.empty((count, n_basis, n_basis), complex)
-        buffer = np.empty((min(step, count), n_basis, n_samp), complex)
+        target k) with k < n, before the target scale; a mirror column's are
+        stored times T. One new array, filled chunk by chunk of pairs: each
+        chunk's samples of k < n, at most 2^20, are weighted and transformed in
+        one buffer, of which the first n outputs of each DFT are kept."""
+        count, n_samp = self.log_deriv.shape
+        step = max(1, 2**20 // (n * n_samp))
+        out = np.empty((count, n, n), complex)
+        buffer = np.empty((min(step, count), n, n_samp), complex)
         for i in range(0, count, step):
             coef = buffer[:count - i]
             weight = np.exp(s * self.log_deriv[i:i + step])[:, None, :]
-            np.multiply(weight, self.samples[i:i + step], out=coef)
+            np.multiply(weight, self.samples[i:i + step, :n], out=coef)
             # each DFT in place over the contiguous last axis
-            out[i:i + step] = np.fft.fft(coef, out=coef)[:, :, :n_basis]
+            out[i:i + step] = np.fft.fft(coef, out=coef)[:, :, :n]
         return out
 
-    def blocks(self, s: complex) -> np.ndarray:
-        """The blocks of the operator at s, as in TransferMatrix, in one new
-        array: the pairs' coefficients contracted with the incidence.
+    def blocks(self, s: complex, n: int) -> np.ndarray:
+        """The blocks of the operator at s and truncation n, as in
+        TransferMatrix, in one new array: the pairs' coefficients contracted
+        with the incidence.
 
         At real s with real rep images (a real incidence) the operator is real:
         the generators are integer matrices, so g_w maps R to R with g_w' > 0
@@ -205,46 +198,54 @@ class _OperatorPlan:
         has real Taylor coefficients. The imaginary part of the DFT output is
         then rounding alone, and the blocks are its real part, real matrices.
         """
-        folds, h = self.shape[0], int(np.prod(self.shape[1:4]))
-        coef = self.coefficients(s)
+        folds, n_first, dim = self.incidence.shape[:3]
+        coef = self.coefficients(s, n)
         if np.isrealobj(self.incidence) and complex(s).imag == 0:
             coef = coef.real
         coef = np.take(coef.transpose(2, 0, 1), self.slots, axis=1)  # (target k, b, a, slot, source k)
-        coef *= self.scale
-        out = np.empty(self.shape, np.result_type(coef, self.incidence))
+        coef *= self.scale[:n]
+        out = np.empty((folds, n_first, dim, n, n_first, dim, n), np.result_type(coef, self.incidence))
         # batches (fold, b, v, target k, a), each contracting block (b, a)'s slots;
         # real weights contract a complex coef as its (real, imaginary) pairs
         coef = coef.view(self.incidence.dtype).transpose(1, 0, 2, 3, 4)[:, None]
         np.matmul(self.incidence, coef, out=out.view(self.incidence.dtype))
-        return out.reshape(folds, h, h)
+        return out.reshape(folds, n_first * dim * n, n_first * dim * n)
 
     def unfold(self, blocks: np.ndarray) -> np.ndarray:
-        """`TransferMatrix.matrix` of the operator with these blocks: A and
-        B T are their half sum and half difference."""
+        """`TransferMatrix.matrix` of the operator with these blocks, at the
+        truncation their shape gives: A and B T are their half sum and half
+        difference."""
+        n_first, dim = self.incidence.shape[1:3]
+        n = blocks.shape[-1] // (n_first * dim)
         full = blocks[0]
         if self.mirror is not None:
             a, bt = (blocks[0] + blocks[1]) / 2, (blocks[0] - blocks[1]) / 2
-            perm, sign = self.mirror
+            half = np.arange(n_first * dim * n).reshape(n_first, dim, n)
+            perm = half[:, self.mirror[0]].ravel()
+            sign = np.broadcast_to(self.mirror[1][:, None] * (-1.0) ** np.arange(n), half.shape).ravel()
             full = np.block([[a, bt[:, perm] * sign],
                              [sign[:, None] * bt[perm], sign[:, None] * a[np.ix_(perm, perm)] * sign]])
         # (letter, k, v) in letter order, from (letter, v, k) in plan order
-        dim, n_basis = self.shape[2], self.shape[-1]
-        index = (np.argsort(self.letters)[:, None, None] * dim + np.arange(dim)) * n_basis
-        index = (index + np.arange(n_basis)[:, None]).ravel()
+        index = (np.argsort(self.letters)[:, None, None] * dim + np.arange(dim)) * n
+        index = (index + np.arange(n)[:, None]).ravel()
         return full[np.ix_(index, index)]
 
 
-# rep -> group -> (sorted pairs, n_basis) -> plan; an entry lives as long as
-# its rep and its group.
+# rep -> group -> (sorted pairs, samples per circle) -> plan; an entry lives as
+# long as its rep and its group.
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _plan(group: SchottkyGroup, pairs, rep: UnitaryRep, n_basis: int) -> _OperatorPlan:
-    """The plan of (group, pairs, rep, n_basis), built on first use."""
+    """The plan of (group, pairs, rep) keyed by its sample grid, max(4N, 32)
+    points (fewer alias below N = 8), built on first use: every N <= 8 is a
+    corner of the N = 8 plan, bit for bit, and so a function of N alone."""
+    if not 1 <= n_basis <= MAX_N:
+        raise ValueError(f"n_basis must be in 1..{MAX_N}, got {n_basis}")
     plans = _PLANS.setdefault(rep, weakref.WeakKeyDictionary()).setdefault(group, {})
-    key = (tuple(sorted(pairs)), n_basis)
+    key = (tuple(sorted(pairs)), max(4 * n_basis, 32))
     if key not in plans:
-        plans[key] = _OperatorPlan(group, key[0], rep, n_basis)
+        plans[key] = _OperatorPlan(group, key[0], rep, key[1] // 4)
     return plans[key]
 
 
@@ -258,13 +259,12 @@ def assemble_pairs(
     """Matrix of the operator summing g_w'(z)^s rho(g_w)^{-1} f(g_w z) over
     the given (word, target letter) pairs, acting on z in the target disk.
 
-    The s-independent data is built on the first call for (group, pairs,
-    rep, n_basis) and kept while rep and group live; each call returns a new
-    matrix."""
+    The s-independent data is built on first use (`_plan`) and kept while rep
+    and group live; each call returns a new matrix."""
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     plan = _plan(group, pairs, rep if rep is not None else trivial_rep(group), n_basis)
-    return TransferMatrix(plan.blocks(s), plan)
+    return TransferMatrix(plan.blocks(s, n_basis), plan)
 
 
 def assemble_standard(
@@ -332,7 +332,7 @@ def _pair_integrals(group: SchottkyGroup, partition: Partition, s: complex, n_ba
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     plan = _plan(group, partition.pairs, trivial_rep(group), n_basis)
-    coef = plan.coefficients(s) * plan.target_scale[:, None, :]
+    coef = plan.coefficients(s, n_basis) * plan.target_scale[:, None, :n_basis]
     blocks: dict[tuple[int, int], list[int]] = {}
     for i, (w, t) in enumerate(plan.pairs):
         blocks.setdefault((t, w[0]), []).append(i)

@@ -396,7 +396,9 @@ class BoundaryZeroError(RuntimeError):
 def _winding_number(values, n: int, max_refinements: int) -> int:
     """Winding number about 0 of the closed contour whose n samples, in order,
     are values(n); n doubles until consecutive phase increments stay below
-    pi/2. It evaluates nothing itself: values computes and caches the samples."""
+    pi/2. It evaluates nothing itself: values computes and caches the samples.
+    Both callers sample det(1 - L_s), entire in s, so a negative count can only
+    be aliasing and raises ConvergenceError."""
     for _ in range(max_refinements):
         phases = np.angle(np.array(values(n)))
         inc = np.diff(np.concatenate([phases, phases[:1]]))
@@ -406,6 +408,8 @@ def _winding_number(values, n: int, max_refinements: int) -> int:
             count = round(w)
             if abs(w - count) > 0.25:
                 raise ConvergenceError(f"non-integral winding number {w}")
+            if count < 0:
+                raise ConvergenceError(f"negative winding number {count}: the samples alias")
             return count
         n *= 2
     raise ConvergenceError("winding number did not stabilize under refinement")

@@ -282,15 +282,62 @@ def test_a_small_basis_is_the_corner_of_a_larger_one(g2, n_basis):
 
     def blocks(n):
         tm = assemble_standard(g2, 0.3, rep, n)
-        return tm.blocks.reshape(tm.plan.shape)
+        folds, n_first, dim = tm.plan.incidence.shape[:3]
+        return tm.blocks.reshape(folds, n_first, dim, n, n_first, dim, n)
 
     assert np.array_equal(blocks(n_basis), blocks(8)[:, :, :, :n_basis, :, :, :n_basis])
 
 
-def _whole_coefficients(plan, s):
+@pytest.mark.parametrize("truncations, count", [((4, 6, 8), 1), ((12, 16), 2), ((4, 6, 8, 12, 16), 3)])
+def test_every_small_basis_shares_the_plan_of_its_sample_grid(truncations, count):
+    # every N <= 8 samples the same 32 points; each larger N samples 4N
+    group = gamma_m(2)
+    rep = rep_lambda_p0(group, 5)
+    for n in truncations:
+        zeta_det(group, 0.9, rep, n_basis=n)
+    standard = tuple(sorted(group.standard_pairs))
+    assert sum(pairs == standard for pairs, _ in transfer._PLANS[rep][group]) == count
+
+
+def test_results_do_not_depend_on_the_plans_built_before():
+    def at_16(group, rep):
+        dets = [zeta_det(group, s, rep, n_basis=16) for s in (0.9, 0.6 + 0.4j)]
+        return dets, pair_integrals(group, group.partition(2.0**-6), 0.9 + 0.1j, n_basis=16)
+
+    fresh = gamma_m(2)
+    want = at_16(fresh, rep_lambda_p0(fresh, 5))
+    used = gamma_m(2)
+    rep = rep_lambda_p0(used, 5)
+    zeta_det(used, 0.9, rep, n_basis=20)
+    pair_integrals(used, used.partition(2.0**-6), 0.9 + 0.1j, n_basis=20)
+    assert at_16(used, rep) == want
+
+
+@pytest.mark.parametrize("n_basis", [4, 6])
+@pytest.mark.parametrize("rep_name", ["trivial", "lambda_5^0"])
+def test_a_corner_of_the_shared_plan_unfolds_to_the_per_pair_matrix(g2, n_basis, rep_name):
+    rep = trivial_rep(g2) if rep_name == "trivial" else rep_lambda_p0(g2, 5)
+    assemble_standard(g2, 0.7 + 0.3j, rep, n_basis=8)  # the plan a basis of 4 or 6 reads
+    got = assemble_standard(g2, 0.7 + 0.3j, rep, n_basis).matrix
+    want = _per_pair_matrix(g2, g2.standard_pairs, 0.7 + 0.3j, rep, n_basis)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_basis", [0, -1, transfer.MAX_N + 1])
+def test_a_truncation_outside_the_cap_is_refused_whatever_its_grid(g2, part2_64, n_basis):
+    # 0 and -1 fall on the grid of the N = 8 plan, which is already built
+    pair_integrals(g2, part2_64, 0.9, n_basis=8)
+    assemble_standard(g2, 0.9, n_basis=8)
+    with pytest.raises(ValueError, match="n_basis must be in"):
+        pair_integrals(g2, part2_64, 0.9, n_basis=n_basis)
+    with pytest.raises(ValueError, match="n_basis must be in"):
+        assemble_standard(g2, 0.9, n_basis=n_basis)
+
+
+def _whole_coefficients(plan, s, n):
     """Reference for `_OperatorPlan.coefficients`: one DFT of every pair's samples at once."""
-    coef = np.exp(s * plan.log_deriv)[:, None, :] * plan.samples
-    return np.fft.fft(coef, out=coef)[:, :, :plan.shape[-1]]
+    coef = np.exp(s * plan.log_deriv)[:, None, :] * plan.samples[:, :n]
+    return np.fft.fft(coef, out=coef)[:, :, :n]
 
 
 def test_coefficients_are_taken_in_chunks_of_pairs():
@@ -301,12 +348,12 @@ def test_coefficients_are_taken_in_chunks_of_pairs():
     def traced_blocks():
         tracemalloc.start()
         try:
-            return plan.blocks(0.9), tracemalloc.get_traced_memory()[1]
+            return plan.blocks(0.9, 64), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     chunked, chunked_peak = traced_blocks()
-    plan.coefficients = lambda s: _whole_coefficients(plan, s)
+    plan.coefficients = lambda s, n: _whole_coefficients(plan, s, n)
     whole, whole_peak = traced_blocks()
     assert np.array_equal(chunked, whole)
     assert chunked_peak < whole_peak

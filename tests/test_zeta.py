@@ -584,6 +584,16 @@ def test_winding_number_refuses_a_contour_that_does_not_resolve():
     assert asked == [8, 16]
 
 
+@pytest.mark.parametrize("turns", [1, 3])
+def test_winding_number_refuses_a_negative_count(turns):
+    # a contour that turns clockwise cannot come from samples of an entire function
+    def values(n):
+        return list(np.exp(-2j * np.pi * turns * np.arange(n) / n))
+
+    with pytest.raises(ConvergenceError, match=f"negative winding number -{turns}"):
+        _winding_number(values, 8, 6)
+
+
 def test_real_zeros_confirms_one_zero_per_cluster_of_candidates(g2, delta2, monkeypatch):
     # two sign changes 2 tol apart: the second is inside the first's circle of
     # radius 5 tol and is not confirmed a second time
