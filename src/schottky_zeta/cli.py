@@ -335,8 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delta", parents=[group, n_basis])
     p.add_argument("--tol", type=float, default=1e-8)
 
-    p = add("np", parents=[group, prime, n_basis])
+    # np and jensen declare their own --n-basis: a default set on the shared
+    # action would change it for every command that lists the n_basis parent
+    p = add("np", parents=[group, prime])
     p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--n-basis", type=int, default=None,
+                   help=f"truncation N (default: the first of N = 8, 12, ..., {DEFAULT_N} at which "
+                        "det(1 - L_s) at N - 4 is within half its modulus of the value at N at "
+                        "every point the search evaluated)")
 
     p = add("trace-check", parents=[group])
     p.add_argument("--max-len", type=int, default=6)
@@ -352,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mode", choices=["direct", "decomposed", "both"], default="both")
 
-    # jensen declares its own --n-basis: a default set on the shared action
-    # would change it for every command that lists the n_basis parent
     p = add("jensen", parents=[group, prime, tau])
     p.add_argument("--K", type=float, default=6.0)
     p.add_argument("--theta-samples", type=int, default=512)

@@ -29,6 +29,7 @@ BOUNDARY_FLOOR = 1e-13             # |det| at most this share of a contour's lar
 CIRCLE_SAMPLES = 32
 CIRCLE_MAX_REFINEMENTS = 5
 JENSEN_MAX_DOUBLINGS = 3
+TRUNCATION_GAP = 0.5               # largest |det at N - 4 - det at N| / |det at N| a zero search accepts
 DIRECT_P_CAP = 1000                # largest prime the materialized direct HS prime sum accepts
 
 
@@ -354,8 +355,16 @@ def delta_methods(
 
 
 def delta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
-    """delta by eigenvalue bisection, cross-checked against the zeta zero."""
-    return delta_methods(group, tol, n_basis)[0]
+    """delta by eigenvalue bisection, checked by two determinants: det(1 - L_s)
+    must change sign across [delta - tol, delta + tol], or ConvergenceError.
+    The leading eigenvalue of L_s is simple and decreasing in real s, so no
+    eigenvalue is 1 above delta and that zero is the largest real one."""
+    d = delta_bisection(group, tol, n_basis)
+    below, above = (zeta_det(group, s, None, n_basis).real for s in (d - tol, d + tol))
+    if not below * above <= 0:
+        raise ConvergenceError(f"det(1 - L_s) keeps its sign across delta = {d} +- {tol}: "
+                               f"{below} and {above}")
+    return d
 
 
 # -- zero counting ---------------------------------------------------------------
@@ -464,13 +473,28 @@ def count_zeros_rect(
     return _winding_number(boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
 
+def _zero_search(det, lo: float, hi: float, tol: float):
+    """(zeros, proxy nodes, proxy tail) of det on [lo, hi]: the proxy's
+    candidates, each confirmed on its half circle. See `real_zeros`."""
+    roots, nodes, tail = _chebyshev_roots(lambda s: det(s).real, lo, hi, tol / 4)
+    zeros: list[tuple[complex, int]] = []
+    for x, _ in roots:
+        if zeros and abs(x - zeros[-1][0].real) < 5 * tol:
+            continue
+        circle = _real_circle(det, x, 5 * tol)
+        mult = _winding_number(circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
+        if mult >= 1:
+            zeros.append((complex(x), mult))
+    return zeros, nodes, tail
+
+
 def real_zeros(
     group: SchottkyGroup,
     rep: UnitaryRep | None,
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    n_basis: int = DEFAULT_N,
+    n_basis: int | None = DEFAULT_N,
 ) -> ZeroReport:
     """All real zeros of det(1 - L_{s,rho}) in [lo, hi] with multiplicity.
 
@@ -481,6 +505,16 @@ def real_zeros(
     the argument principle on a circle of radius 5 * tol whose closed upper
     half alone is evaluated (`_real_circle`). The report carries the proxy's
     node count and final tail as its convergence evidence.
+
+    n_basis=None chooses the truncation N by its N - 4 evidence: the search
+    runs at N = 8, 12, ..., DEFAULT_N, and the first N is kept at which
+    det(1 - L_s) at N - 4 is within TRUNCATION_GAP of its modulus at N at
+    every point the search at N evaluated (proxy nodes, bisection midpoints,
+    circle samples). There each sign and each phase increment of the search
+    at N - 4 is the same as at N. Each (N, s) is evaluated once; the N - 4
+    values at the shared proxy nodes come from the rung below. A gap still
+    above TRUNCATION_GAP at DEFAULT_N raises ConvergenceError. The report's
+    n_basis is the N kept. An explicit n_basis is used as given.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
@@ -488,16 +522,32 @@ def real_zeros(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if rep is not None and any(np.iscomplexobj(u) for u in rep.images.values()):
         raise SymmetryError(f"{rep.label} has complex images: its transfer matrix is not real at real s")
-    det = functools.partial(zeta_det, group, rep=rep, n_basis=n_basis)
-    roots, nodes, tail = _chebyshev_roots(lambda s: det(s).real, lo, hi, tol / 4)
-    zeros: list[tuple[complex, int]] = []
-    for x, _ in roots:
-        if zeros and abs(x - zeros[-1][0].real) < 5 * tol:
-            continue
-        circle = _real_circle(det, x, 5 * tol)
-        mult = _winding_number(circle, CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
-        if mult >= 1:
-            zeros.append((complex(x), mult))
+    if n_basis is not None:
+        zeros, nodes, tail = _zero_search(
+            functools.partial(zeta_det, group, rep=rep, n_basis=n_basis), lo, hi, tol)
+    else:
+        values: dict[int, dict[complex, complex]] = {}  # det(1 - L_s) by N, then s
+
+        def det_at(n: int):
+            at_n = values.setdefault(n, {})
+
+            def det(s):
+                if s not in at_n:
+                    at_n[s] = zeta_det(group, s, rep, n)
+                return at_n[s]
+            return det
+
+        for n_basis in range(8, DEFAULT_N + 1, 4):
+            zeros, nodes, tail = _zero_search(det_at(n_basis), lo, hi, tol)
+            coarse = det_at(n_basis - 4)
+            gaps = {s: abs(coarse(s) - v) / abs(v) if v else math.inf for s, v in values[n_basis].items()}
+            worst = max(gaps, key=gaps.get)
+            if gaps[worst] <= TRUNCATION_GAP:
+                break
+        else:
+            raise ConvergenceError(
+                f"det(1 - L_s) not converged in N: its relative gap from N = {DEFAULT_N - 4} to "
+                f"N = {DEFAULT_N} is {gaps[worst]:.3g} at s = {worst}, above {TRUNCATION_GAP}")
     return ZeroReport(rep_label=rep.label if rep is not None else "trivial", region=(lo, hi),
                       zeros=zeros, n_basis=n_basis, tol=tol, proxy_nodes=nodes, proxy_tail=tail)
 
@@ -507,18 +557,25 @@ def new_eigenvalue_count(
     p: int,
     sigma: float,
     tol: float = 1e-5,
-    n_basis: int = DEFAULT_N,
+    n_basis: int | None = None,
     delta_value: float | None = None,
 ) -> int:
     """Number of zeros of Z(., lambda_p^0) in [sigma, delta], with multiplicity.
 
     A prime whose reduction is not onto SL_2(F_p) raises SurjectivityError
-    before delta is computed; sigma above delta counts 0 without a search."""
+    before delta is computed; sigma above delta counts 0 without a search.
+    The search is `real_zeros` on [sigma, delta + 2 tol]. n_basis=None lets
+    it choose N by its N - 4 evidence, and delta, when not supplied, is then
+    computed at DEFAULT_N; an explicit n_basis is used for both.
+    """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective; the induced-rep count is invalid")
-    d = delta_value if delta_value is not None else delta(group, tol=min(tol, 1e-6), n_basis=n_basis)
+    if delta_value is not None:
+        d = delta_value
+    else:
+        d = delta(group, tol=min(tol, 1e-6), n_basis=DEFAULT_N if n_basis is None else n_basis)
     if sigma > d:
         return 0
     rep = rep_lambda_p0(group, p)

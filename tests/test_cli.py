@@ -423,12 +423,13 @@ def test_delta_command_runs_each_method_once(tmp_path, monkeypatch):
     ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2"],
 ], ids=lambda argv: argv[0])
 def test_jensen_alone_leaves_n_basis_unset(argv):
-    # jensen's --n-basis defaults to None; the shared action keeps DEFAULT_N for the rest
+    # jensen's and np's --n-basis default to None; the shared action keeps DEFAULT_N for the rest
+    want = None if argv[0] == "np" else cli.DEFAULT_N
     parser = cli.build_parser()
-    assert parser.parse_args(argv).n_basis == cli.DEFAULT_N
+    assert parser.parse_args(argv).n_basis == want
     jensen = ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625"]
     assert parser.parse_args(jensen).n_basis is None
-    assert parser.parse_args(argv).n_basis == cli.DEFAULT_N
+    assert parser.parse_args(argv).n_basis == want
 
 
 def test_config_fixes_the_jensen_basis(tmp_path):
@@ -447,3 +448,30 @@ def test_jensen_help_states_how_n_is_chosen(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert f"N = 8, 12, ..., {cli.DEFAULT_N}" in text
     assert "within --bound-tol of the bound at N - 4" in text
+
+
+def test_config_fixes_the_np_basis(tmp_path, monkeypatch):
+    seen = []
+
+    def count(group, p, sigma, tol, n_basis):
+        seen.append(n_basis)
+        return 0
+
+    monkeypatch.setattr(cli, "new_eigenvalue_count", count)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_basis": 12}))
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "np", "--group", "gamma_m:2",
+            "--p", "5", "--sigma", "0.2"]
+    assert main(argv) == 0
+    assert main(argv + ["--n-basis", "8"]) == 0
+    assert main(["--out", str(tmp_path), *argv[4:]]) == 0
+    assert seen == [12, 8, None]
+
+
+def test_np_help_states_how_n_is_chosen(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(["np", "-h"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"N = 8, 12, ..., {cli.DEFAULT_N}" in text
+    assert "det(1 - L_s) at N - 4 is within half its modulus of the value at N" in text

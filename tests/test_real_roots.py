@@ -11,12 +11,14 @@ import pytest
 from schottky_zeta import new_eigenvalue_count, real_zeros, zeta
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
+from schottky_zeta.transfer import DEFAULT_N
 from schottky_zeta.zeta import (
     CHEB_START_N,
     CHEB_TAIL_TOL,
     CIRCLE_MAX_REFINEMENTS,
     CIRCLE_SAMPLES,
     ConvergenceError,
+    ZeroReport,
     _bisect_sign_change,
     _chebyshev_roots,
     _real_circle,
@@ -196,8 +198,117 @@ def test_new_eigenvalue_count_takes_at_most_33_determinants(g2, delta2, monkeypa
         return real(*args, **kwargs)
 
     monkeypatch.setattr(zeta, "zeta_det", counted)
-    assert new_eigenvalue_count(g2, 7, 0.15, delta_value=delta2) == 0
+    assert new_eigenvalue_count(g2, 7, 0.15, n_basis=DEFAULT_N, delta_value=delta2) == 0
     assert len(calls) <= 33  # the sign scan took 200
+
+
+# -- the truncation chosen by its N - 4 evidence ------------------------------------
+
+
+def one_n_real_zeros(group, rep, lo, hi, tol, n_basis):
+    """`real_zeros` before it could choose N: the proxy and the half circles at
+    one given N, each with its own cache."""
+    det = functools.partial(zeta_det, group, rep=rep, n_basis=n_basis)
+    roots, nodes, tail = _chebyshev_roots(lambda s: det(s).real, lo, hi, tol / 4)
+    zeros = []
+    for x, _ in roots:
+        if zeros and abs(x - zeros[-1][0].real) < 5 * tol:
+            continue
+        mult = _winding_number(_real_circle(det, x, 5 * tol), CIRCLE_SAMPLES, CIRCLE_MAX_REFINEMENTS)
+        if mult >= 1:
+            zeros.append((complex(x), mult))
+    label = rep.label if rep is not None else "trivial"
+    return ZeroReport(rep_label=label, region=(lo, hi), zeros=zeros, n_basis=n_basis, tol=tol,
+                      proxy_nodes=nodes, proxy_tail=tail)
+
+
+SIGN_SCAN_CASES = ["trivial", "golden-zeros", "lambda_5^0", "trivial+trivial"]
+
+
+def _sign_scan_case(g2, delta2, case):
+    """(rep, lo, hi, tol) of a case of `test_real_zeros_matches_the_sign_scan`."""
+    return {
+        "trivial": (None, 0.05, 0.45, 1e-7),
+        "golden-zeros": (None, 0.1, 0.4, 1e-6),
+        "lambda_5^0": (rep_lambda_p0(g2, 5), 0.15, delta2, 1e-6),
+        "trivial+trivial": (direct_sum(trivial_rep(g2), trivial_rep(g2)), 0.2, 0.35, 1e-6),
+    }[case]
+
+
+@pytest.mark.parametrize("case, n_basis", [("golden-zeros", 12), ("trivial+trivial", 8),
+                                           ("lambda_5^0", DEFAULT_N)])
+def test_an_explicit_n_is_the_search_at_that_n_alone(g2, delta2, case, n_basis):
+    rep, lo, hi, tol = _sign_scan_case(g2, delta2, case)
+    want = one_n_real_zeros(g2, rep, lo, hi, tol, n_basis)
+    assert real_zeros(g2, rep, lo, hi, tol=tol, n_basis=n_basis) == want
+
+
+def assert_same_zeros(chosen, fixed, tol):
+    """The same zeros with the same multiplicities, each within tol."""
+    assert chosen.n_basis in range(8, DEFAULT_N + 1, 4)
+    assert [m for _, m in chosen.zeros] == [m for _, m in fixed.zeros]
+    for (z, _), (x, _) in zip(chosen.zeros, fixed.zeros):
+        assert abs(z - x) <= tol
+
+
+@pytest.mark.parametrize("case", SIGN_SCAN_CASES)
+def test_the_chosen_n_finds_the_zeros_of_the_default_n(g2, delta2, case):
+    rep, lo, hi, tol = _sign_scan_case(g2, delta2, case)
+    chosen = real_zeros(g2, rep, lo, hi, tol=tol, n_basis=None)
+    assert_same_zeros(chosen, real_zeros(g2, rep, lo, hi, tol=tol, n_basis=DEFAULT_N), tol)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("sigma", [0.01, 0.15, 0.25])
+def test_the_chosen_n_counts_as_the_default_n(g2, delta2, p, sigma):
+    # the search of new_eigenvalue_count(g2, p, sigma, delta_value=delta2)
+    rep, tol = rep_lambda_p0(g2, p), 1e-5
+    chosen = real_zeros(g2, rep, sigma, delta2 + 2 * tol, tol=tol, n_basis=None)
+    fixed = real_zeros(g2, rep, sigma, delta2 + 2 * tol, tol=tol, n_basis=DEFAULT_N)
+    assert_same_zeros(chosen, fixed, tol)
+    assert new_eigenvalue_count(g2, p, sigma, delta_value=delta2) == fixed.total_count()
+
+
+def _count_by_basis(monkeypatch, scale=None):
+    """A dict from N to the number of zeta_det calls at N. With scale, the
+    value at N is multiplied by scale[N], a power of two, so the search at N
+    decides exactly as without it and only the N - 4 gap moves."""
+    calls = {}
+    real = zeta.zeta_det
+
+    def counted(group, s, rep=None, n_basis=DEFAULT_N):
+        calls[n_basis] = calls.get(n_basis, 0) + 1
+        value = real(group, s, rep, n_basis)
+        return value * scale[n_basis] if scale else value
+
+    monkeypatch.setattr(zeta, "zeta_det", counted)
+    return calls
+
+
+def test_the_standard_twisted_count_runs_at_n_8(g2, delta2, monkeypatch):
+    # N = 4 is evaluated only at the points of the search at N = 8
+    calls = _count_by_basis(monkeypatch)
+    assert new_eigenvalue_count(g2, 7, 0.15, delta_value=delta2) == 0
+    assert sorted(calls) == [4, 8]
+    assert calls[8] <= 33 and calls[4] <= 33
+
+
+def test_the_search_climbs_while_the_n_minus_4_gap_exceeds_half(g2, delta2, monkeypatch):
+    # the gap from N = 4 to 8 is 3/4, above 1/2; from 8 to 12 that of the true values
+    rep, lo, hi, tol = _sign_scan_case(g2, delta2, "golden-zeros")
+    want = real_zeros(g2, rep, lo, hi, tol=tol, n_basis=12)
+    calls = _count_by_basis(monkeypatch, {4: 1.0, 8: 4.0, 12: 4.0, 16: 4.0})
+    got = real_zeros(g2, rep, lo, hi, tol=tol, n_basis=None)
+    assert sorted(calls) == [4, 8, 12]
+    assert got == want
+
+
+def test_the_search_raises_when_the_default_n_misses_the_gap(g2, delta2, monkeypatch):
+    rep, lo, hi, tol = _sign_scan_case(g2, delta2, "golden-zeros")
+    calls = _count_by_basis(monkeypatch, {4: 1.0, 8: 4.0, 12: 16.0, 16: 64.0})
+    with pytest.raises(ConvergenceError, match=rf"from N = 12 to N = {DEFAULT_N} is 0\.75 at s ="):
+        real_zeros(g2, rep, lo, hi, tol=tol, n_basis=None)
+    assert sorted(calls) == [4, 8, 12, 16]
 
 
 def test_confirmation_evaluates_the_closed_upper_half_once(g2, monkeypatch):

@@ -190,6 +190,27 @@ def test_delta_leading_eigenvalue_is_one(g2, delta2):
     assert leading_eigenvalue(g2, delta2) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_delta_is_the_bisection_checked_by_two_determinants(g2, monkeypatch):
+    calls = []
+    real = zeta.zeta_det
+
+    def counted(group, s, rep=None, n_basis=DEFAULT_N):
+        calls.append((s, rep, n_basis))
+        return real(group, s, rep, n_basis)
+
+    monkeypatch.setattr(zeta, "zeta_det", counted)
+    d = delta(g2, tol=1e-8)
+    assert d == delta_bisection(g2, tol=1e-8)
+    assert calls == [(d - 1e-8, None, DEFAULT_N), (d + 1e-8, None, DEFAULT_N)]
+
+
+def test_delta_raises_without_a_determinant_sign_change(g2, monkeypatch):
+    real = zeta.zeta_det
+    monkeypatch.setattr(zeta, "zeta_det", lambda *args: abs(real(*args)))
+    with pytest.raises(ConvergenceError, match=r"keeps its sign across delta = 0\.2748.* and "):
+        delta(g2, tol=1e-8)
+
+
 def test_real_zeros_find_delta(g2, delta2):
     report = real_zeros(g2, None, 0.05, 0.45, tol=1e-7)
     assert len(report.zeros) == 1
