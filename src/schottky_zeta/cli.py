@@ -370,7 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse: config file values become defaults, flags override."""
+    """Two-pass parse: config file values become defaults, flags override.
+
+    argparse types only string defaults, so a typed flag gets its config
+    value as JSON text and reads it as it reads the command line: 12 passes
+    --n-basis 12, while 8.5, true or null fail there naming the flag. A string
+    passes as is, and so does null where the flag is optional and defaults to
+    None."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -385,11 +391,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             raise ValueError(f"unknown config keys: {unknown}")
         parser.set_defaults(**config)
         for sp in subparsers:
-            sp.set_defaults(**{k: v for k, v in config.items()
-                               if any(a.dest == k for a in sp._actions)})
             for action in sp._actions:
                 if action.dest in config:
-                    action.required = False
+                    value = config[action.dest]
+                    optional_null = value is None and action.default is None and not action.required
+                    if action.type and not (isinstance(value, str) or optional_null):
+                        value = json.dumps(value)
+                    action.default, action.required = value, False
     return parser.parse_args(argv)
 
 

@@ -413,10 +413,7 @@ def _winding_number(values, n: int, max_refinements: int) -> int:
         inc = np.diff(np.concatenate([phases, phases[:1]]))
         inc = (inc + np.pi) % (2 * np.pi) - np.pi
         if np.max(np.abs(inc)) < np.pi / 2:
-            w = float(np.sum(inc) / (2 * np.pi))
-            count = round(w)
-            if abs(w - count) > 0.25:
-                raise ConvergenceError(f"non-integral winding number {w}")
+            count = round(float(np.sum(inc) / (2 * np.pi)))
             if count < 0:
                 raise ConvergenceError(f"negative winding number {count}: the samples alias")
             return count
@@ -473,6 +470,23 @@ def count_zeros_rect(
     return _winding_number(boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
 
 
+def _choose_n(run, gap, tol: float, n_basis: int | None):
+    """(run(N), N) at the truncation N chosen by N - 4 evidence. An explicit
+    n_basis is N, and gap is not called; otherwise N is the first of 8, 12,
+    ..., DEFAULT_N whose gap(N) = (size, message), taken after run(N), has
+    size <= tol, else ConvergenceError(message) at DEFAULT_N. The truncation
+    error falls geometrically in N, so the gap estimates (it does not bound)
+    the error at N - 4 and overstates that at N."""
+    if n_basis is not None:
+        return run(n_basis), n_basis
+    for n in range(8, DEFAULT_N + 1, 4):
+        result = run(n)
+        size, message = gap(n)
+        if size <= tol:
+            return result, n
+    raise ConvergenceError(message)
+
+
 def _zero_search(det, lo: float, hi: float, tol: float):
     """(zeros, proxy nodes, proxy tail) of det on [lo, hi]: the proxy's
     candidates, each confirmed on its half circle. See `real_zeros`."""
@@ -506,15 +520,11 @@ def real_zeros(
     half alone is evaluated (`_real_circle`). The report carries the proxy's
     node count and final tail as its convergence evidence.
 
-    n_basis=None chooses the truncation N by its N - 4 evidence: the search
-    runs at N = 8, 12, ..., DEFAULT_N, and the first N is kept at which
-    det(1 - L_s) at N - 4 is within TRUNCATION_GAP of its modulus at N at
-    every point the search at N evaluated (proxy nodes, bisection midpoints,
-    circle samples). There each sign and each phase increment of the search
-    at N - 4 is the same as at N. Each (N, s) is evaluated once; the N - 4
-    values at the shared proxy nodes come from the rung below. A gap still
-    above TRUNCATION_GAP at DEFAULT_N raises ConvergenceError. The report's
-    n_basis is the N kept. An explicit n_basis is used as given.
+    N is chosen by `_choose_n` from the largest relative gap of det(1 - L_s)
+    from N - 4 to N over every point the search at N evaluated (proxy nodes,
+    bisection midpoints, circle samples), within TRUNCATION_GAP: then each
+    sign and phase increment at N - 4 is the one at N. The N - 4 values at
+    shared points come from the rung below. The report's n_basis is the N kept.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
@@ -522,32 +532,22 @@ def real_zeros(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if rep is not None and any(np.iscomplexobj(u) for u in rep.images.values()):
         raise SymmetryError(f"{rep.label} has complex images: its transfer matrix is not real at real s")
-    if n_basis is not None:
-        zeros, nodes, tail = _zero_search(
-            functools.partial(zeta_det, group, rep=rep, n_basis=n_basis), lo, hi, tol)
-    else:
-        values: dict[int, dict[complex, complex]] = {}  # det(1 - L_s) by N, then s
+    values: dict[int, dict[complex, complex]] = {}  # det(1 - L_s) by N, then s
 
-        def det_at(n: int):
-            at_n = values.setdefault(n, {})
+    def det(n: int, s):
+        at_n = values.setdefault(n, {})
+        if s not in at_n:
+            at_n[s] = zeta_det(group, s, rep, n)
+        return at_n[s]
 
-            def det(s):
-                if s not in at_n:
-                    at_n[s] = zeta_det(group, s, rep, n)
-                return at_n[s]
-            return det
+    def gap(n: int):
+        gaps = {s: abs(det(n - 4, s) - v) / abs(v) if v else math.inf for s, v in values[n].items()}
+        worst = max(gaps, key=gaps.get)
+        return gaps[worst], (f"det(1 - L_s) not converged in N: its relative gap from N = {n - 4} "
+                             f"to N = {n} is {gaps[worst]:.3g} at s = {worst}, above {TRUNCATION_GAP}")
 
-        for n_basis in range(8, DEFAULT_N + 1, 4):
-            zeros, nodes, tail = _zero_search(det_at(n_basis), lo, hi, tol)
-            coarse = det_at(n_basis - 4)
-            gaps = {s: abs(coarse(s) - v) / abs(v) if v else math.inf for s, v in values[n_basis].items()}
-            worst = max(gaps, key=gaps.get)
-            if gaps[worst] <= TRUNCATION_GAP:
-                break
-        else:
-            raise ConvergenceError(
-                f"det(1 - L_s) not converged in N: its relative gap from N = {DEFAULT_N - 4} to "
-                f"N = {DEFAULT_N} is {gaps[worst]:.3g} at s = {worst}, above {TRUNCATION_GAP}")
+    (zeros, nodes, tail), n_basis = _choose_n(
+        lambda n: _zero_search(functools.partial(det, n), lo, hi, tol), gap, TRUNCATION_GAP, n_basis)
     return ZeroReport(rep_label=rep.label if rep is not None else "trivial", region=(lo, hi),
                       zeros=zeros, n_basis=n_basis, tol=tol, proxy_nodes=nodes, proxy_tail=tail)
 
@@ -562,14 +562,17 @@ def new_eigenvalue_count(
 ) -> int:
     """Number of zeros of Z(., lambda_p^0) in [sigma, delta], with multiplicity.
 
-    A prime whose reduction is not onto SL_2(F_p) raises SurjectivityError
-    before delta is computed; sigma above delta counts 0 without a search.
+    A tol outside (0, inf) raises ValueError and a prime whose reduction is
+    not onto SL_2(F_p) SurjectivityError, both before delta is computed;
+    sigma above delta counts 0 without a search.
     The search is `real_zeros` on [sigma, delta + 2 tol]. n_basis=None lets
     it choose N by its N - 4 evidence, and delta, when not supplied, is then
     computed at DEFAULT_N; an explicit n_basis is used for both.
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective; the induced-rep count is invalid")
     if delta_value is not None:
@@ -604,13 +607,10 @@ def jensen_bound(
     edge make the integrand spiky, so the sampling is doubled until the implied
     bound moves by less than bound_tol (measured in zeros, not relatively).
 
-    n_basis=None chooses the truncation N by its N - 4 evidence: the implied
-    bound on the first circle of theta_samples points is taken at N = 4, 8,
-    ..., DEFAULT_N, and the first N >= 8 whose bound is within bound_tol of
-    the bound at N - 4 is kept; the doubling then runs at that N on the same
-    cached circle. A gap still above bound_tol at DEFAULT_N raises
-    ConvergenceError. An explicit n_basis is used as given. delta, when not
-    supplied, is computed at DEFAULT_N in the first case.
+    N is chosen by `_choose_n` from how far the implied bound on the first
+    circle of theta_samples points moves from N - 4 to N, within bound_tol;
+    the doubling then runs at that N on the same cached circle. delta, when
+    not supplied, is computed at n_basis, or at DEFAULT_N when N is chosen.
     """
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
@@ -625,7 +625,7 @@ def jensen_bound(
     if delta_value is not None:
         d = delta_value
     else:
-        d = delta(group, tol=1e-6, n_basis=DEFAULT_N if n_basis is None else n_basis)
+        d = delta(group, tol=1e-6, n_basis=n_basis or DEFAULT_N)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")
     partition = group.partition(tau)
@@ -635,38 +635,28 @@ def jensen_bound(
     r2 = r1 + 1.0 / K
     log_ratio = math.log(r2 / r1)
 
+    @functools.cache
     def truncation(n_basis: int):
-        """(log|zeta_tau(sigma_0)|, the circle mean of log|zeta_tau| on n points) at N = n_basis."""
+        """bound(n), the implied bound from the circle mean of log|zeta_tau| on n points, at N = n_basis."""
         center_val = abs(refined_zeta(group, partition, sigma0, rep, n_basis))
         if center_val < 1e-12:
             raise ValueError("refined zeta nearly vanishes at the Jensen center")
         circle = _real_circle(lambda s: refined_zeta(group, partition, s, rep, n_basis), sigma0, r2)
-        return math.log(center_val), lambda n: float(np.mean([math.log(abs(v)) for v in circle(n)]))
+        log_center = math.log(center_val)
+        return lambda n: (float(np.mean([math.log(abs(v)) for v in circle(n)])) - log_center) / log_ratio
 
-    if n_basis is not None:
-        log_center, circle_mean = truncation(n_basis)
-    else:
-        bounds = []  # the implied bound on the first circle at N = 4, 8, ...
-        for n_basis in range(4, DEFAULT_N + 1, 4):
-            log_center, circle_mean = truncation(n_basis)
-            bounds.append((circle_mean(theta_samples) - log_center) / log_ratio)
-            if len(bounds) > 1 and abs(bounds[-1] - bounds[-2]) <= bound_tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"Jensen bound not converged in N: it moves by {abs(bounds[-1] - bounds[-2]):.3g} "
-                f"zeros from N = {DEFAULT_N - 4} to N = {DEFAULT_N}, above bound_tol={bound_tol}")
+    def gap(n: int):
+        move = abs(truncation(n)(theta_samples) - truncation(n - 4)(theta_samples))
+        return move, (f"Jensen bound not converged in N: it moves by {move:.3g} zeros "
+                      f"from N = {n - 4} to N = {n}, above bound_tol={bound_tol}")
 
-    n, val = theta_samples, circle_mean(theta_samples)
+    bound, _ = _choose_n(truncation, gap, bound_tol, n_basis)
+    n, val = theta_samples, bound(theta_samples)
     for _ in range(JENSEN_MAX_DOUBLINGS):
-        n, coarse, val = 2 * n, val, circle_mean(2 * n)
-        if abs(val - coarse) <= bound_tol * log_ratio:
-            break
-    else:
-        raise ConvergenceError("Jensen circle integral did not stabilize")
-
-    bound = (val - log_center) / log_ratio
-    return max(bound, 0.0)
+        n, coarse, val = 2 * n, val, bound(2 * n)
+        if abs(val - coarse) <= bound_tol:
+            return max(val, 0.0)
+    raise ConvergenceError("Jensen circle integral did not stabilize")
 
 
 # -- summed Hilbert-Schmidt diagnostic over primes ---------------------------------

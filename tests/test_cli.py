@@ -155,6 +155,8 @@ def test_zeros_command(tmp_path):
     ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--taus", ",", "--delta", "0.274882"],
     ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "inf"],
     ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "nan"],
+    ["np", "--group", "gamma_m:2", "--p", "7", "--sigma", "0.3", "--tol", "inf"],
+    ["np", "--group", "gamma_m:2", "--p", "7", "--sigma", "0.3", "--tol", "0"],
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "nan", "--x", "60"],
     ["hs-sum", "--group", "gamma_m:2", "--tau", "0.015625", "--s", "inf", "--x", "60"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0", "--im", "nan"],
@@ -184,6 +186,7 @@ def test_zeros_command(tmp_path):
         "trace-check-no-surjective-prime", "charsum-x-nan",
         "hs-sum-x-nan", "distortion-max-len-0",
         "distortion-delta-nan", "distortion-taus-empty", "np-sigma-inf", "np-sigma-nan",
+        "np-tol-inf", "np-tol-0",
         "hs-sum-s-nan", "hs-sum-s-inf", "zeta-im-nan", "zeta-re-lo-nan",
         "zeta-rep-composite-modulus", "np-p-composite", "hs-sum-x-negative",
         "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty",
@@ -358,6 +361,46 @@ def test_config_supplies_the_shared_required_flags(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path), "zeta", "--re-lo", "0.5",
                  "--re-hi", "1.0", "--points", "2", "--n-basis", "4"]) == 0
     assert read_json(tmp_path, "zeta.json")["config"]["tau"] == 0.015625
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"n_basis": None}, ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4"]),
+    ({"n_basis": None}, ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0"]),
+    ({"n_basis": 8.5}, ["delta", "--group", "gamma_m:2"]),
+    ({"n_basis": 8.5}, ["np", "--group", "gamma_m:2", "--p", "7", "--sigma", "0.3"]),
+    ({"p": 7.0}, ["np", "--group", "gamma_m:2", "--sigma", "0.3"]),
+    ({"p": True}, ["np", "--group", "gamma_m:2", "--sigma", "0.3"]),
+    ({"p": None}, ["np", "--group", "gamma_m:2", "--sigma", "0.3"]),
+    ({"tol": [1e-6]}, ["delta", "--group", "gamma_m:2"]),
+], ids=["zeros-n-basis-null", "zeta-n-basis-null", "delta-n-basis-float", "np-n-basis-float",
+        "np-p-float", "np-p-bool", "np-p-null", "delta-tol-list"])
+def test_config_value_outside_its_flag_type_is_a_json_error(tmp_path, capsys, monkeypatch,
+                                                            config, argv):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a command ran with a config value outside its flag's type")
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], unexpected)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), *argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValueError"
+    key = next(iter(config))
+    assert err["message"].startswith(f"argument --{key.replace('_', '-')}: invalid ")
+
+
+def test_config_takes_strings_null_where_the_default_is_none_and_ints_for_floats(tmp_path,
+                                                                                monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "np", lambda args, outdir: seen.append(vars(args)) or {})
+    monkeypatch.setitem(cli.COMMANDS, "distortion", lambda args, outdir: seen.append(vars(args)) or {})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "gamma_m:2", "p": "7", "sigma": 0, "n_basis": None}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "np"]) == 0
+    cfg.write_text(json.dumps({"group": "gamma_m:2", "delta": None}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "distortion"]) == 0
+    assert (seen[0]["p"], seen[0]["sigma"], seen[0]["n_basis"]) == (7, 0, None)
+    assert seen[1]["delta"] is None
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -105,3 +105,19 @@ def test_boundary_samples_are_taken_only_by_the_plan():
     plan = next(node for node in ast.walk(tree)
                 if isinstance(node, ast.ClassDef) and node.name == "_OperatorPlan")
     assert len(_calls(plan, "_moebius_log")) == 1
+
+
+def test_one_truncation_ladder_chooses_n():
+    # the rungs 8, 12, ..., DEFAULT_N are written once, in zeta._choose_n, and
+    # the consumers that choose N by N - 4 evidence pass n_basis through to it
+    tree = ast.parse((PACKAGE_DIR / "zeta.py").read_text())
+    rungs = [call for call in _calls(tree, "range")
+             if [ast.unparse(arg) for arg in call.args[1:]] == ["DEFAULT_N + 1", "4"]]
+    assert len(rungs) == 1
+    consumers = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 and node.name in ("real_zeros", "jensen_bound")]
+    assert len(consumers) == 2
+    none_tests = [f"{fn.name}:{node.lineno}" for fn in consumers for node in ast.walk(fn)
+                  if isinstance(node, ast.Compare) and ast.unparse(node.left) == "n_basis"
+                  and isinstance(node.ops[0], (ast.Is, ast.IsNot))]
+    assert none_tests == []

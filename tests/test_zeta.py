@@ -570,6 +570,18 @@ def test_new_eigenvalue_count_refuses_a_non_surjective_prime_before_delta(monkey
         new_eigenvalue_count(gamma_m(1), 5, 0.1)
 
 
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-5, math.nan])
+def test_new_eigenvalue_count_refuses_a_bad_tol_before_surjectivity_and_delta(g2, tol, monkeypatch):
+    # sigma = 0.3 lies above delta, where the count would return 0 before real_zeros saw tol
+    def unexpected(*args, **kwargs):
+        raise AssertionError("surjectivity or delta computed for a bad tolerance")
+
+    monkeypatch.setattr(zeta, "surjective_mod_p", unexpected)
+    monkeypatch.setattr(zeta, "delta", unexpected)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        new_eigenvalue_count(g2, 7, 0.3, tol=tol)
+
+
 def test_new_eigenvalue_count_above_delta_is_zero_without_a_search(g2, delta2, monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("no zero search above delta")
