@@ -133,8 +133,6 @@ def _sieve(lo: float, hi: float) -> np.ndarray:
         if first > hi_i:
             continue
         seg[first - start_val :: q] = False
-    if start_val == 1:
-        seg[0] = False
     primes = np.nonzero(seg)[0].astype(np.int64, copy=False) + start_val
     return primes[primes > lo]
 

@@ -372,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Two-pass parse: config file values become defaults, flags override.
 
-    argparse types only string defaults, so a typed flag gets its config
-    value as JSON text and reads it as it reads the command line: 12 passes
-    --n-basis 12, while 8.5, true or null fail there naming the flag. A string
-    passes as is, and so does null where the flag is optional and defaults to
-    None."""
+    argparse reads only string defaults, so a flag's config value that is
+    not a string becomes its JSON text and is read as the command line reads
+    it: 12 passes --n-basis 12, while 8.5, true or null fail there naming the
+    flag, and 5 passes --group 5, which names no group. A string passes as
+    is, and so does null where the flag is optional and defaults to None. A
+    switch takes only true or false."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
@@ -385,19 +386,25 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         if not isinstance(config, dict):
             raise ValueError("config file must contain a JSON object")
         subparsers = parser._subparsers._group_actions[0].choices.values()
-        valid = {action.dest for sp in (parser, *subparsers) for action in sp._actions}
-        unknown = sorted(set(config) - valid)
+        actions = [action for sp in (parser, *subparsers) for action in sp._actions]
+        unknown = sorted(set(config) - {action.dest for action in actions})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        parser.set_defaults(**config)
-        for sp in subparsers:
-            for action in sp._actions:
-                if action.dest in config:
-                    value = config[action.dest]
-                    optional_null = value is None and action.default is None and not action.required
-                    if action.type and not (isinstance(value, str) or optional_null):
-                        value = json.dumps(value)
-                    action.default, action.required = value, False
+        # a key of another command's flag lands in the namespace as given
+        top = {action.dest for action in parser._actions if action.option_strings}
+        parser.set_defaults(**{k: v for k, v in config.items() if k not in top})
+        for action in actions:
+            if not action.option_strings or action.dest not in config:
+                continue
+            value = config[action.dest]
+            if action.nargs == 0:
+                if not isinstance(value, bool):
+                    raise ValueError(f"argument {action.option_strings[-1]}: "
+                                     f"a switch takes true or false, got {json.dumps(value)}")
+            elif not (isinstance(value, str)
+                      or value is None and action.default is None and not action.required):
+                value = json.dumps(value)
+            action.default, action.required = value, False
     return parser.parse_args(argv)
 
 

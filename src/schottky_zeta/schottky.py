@@ -152,17 +152,6 @@ class SchottkyGroup:
             sigma.append(match[0])
         return tuple(sigma)
 
-    def test_point(self, a: int) -> float:
-        # o_a is fixed as the disk center (maximally interior choice)
-        return self.disk(a).center
-
-    def successor(self, w: Word) -> int:
-        """A letter b with w -> b: the last letter of w itself (bar(b) != b,
-        so this is always admissible), or letter 1 for the empty word."""
-        if not w:
-            return 1
-        return w[-1]
-
     # -- words -------------------------------------------------------------
 
     def is_reduced(self, w: Word) -> bool:
@@ -229,12 +218,11 @@ class SchottkyGroup:
         return (y - x) / abs((g.c * x + g.d) * (g.c * y + g.d))
 
     def upsilon(self, w: Word) -> float:
-        """|gamma_w'(o_w)| with o_w the center of the successor disk."""
+        """|gamma_w'(o_w)|: o_w is o_b for a letter b with w -> b, b = w[-1]
+        always qualifies (bar(b) != b), and o_b is the centre of D_b."""
         if not w:
             raise ValueError("upsilon is defined for nonempty words")
-        b = self.successor(w)
-        d = self.word_matrix(w).derivative(complex(self.test_point(b)))
-        return abs(d)
+        return abs(self.word_matrix(w).derivative(complex(self.disk(w[-1]).center)))
 
     # -- partitions ----------------------------------------------------------
 

@@ -218,14 +218,18 @@ def refined_zeta(
     h_b^4 / (2 (1 - h_b^2)). Where these bounds sum to at most machine epsilon,
     below an LU's own rounding, the value is exp(-sum_b tr(L_b^2)), O(n^2) for
     an n x n block. That holds on the right half of a Jensen circle, centred
-    at delta + K. Elsewhere it is det(1 - L_b) det(1 + L_b), two stacked LUs.
+    at delta + K. Elsewhere it is det(1 - L_b) det(1 + L_b), two stacked LUs;
+    a product past float64's range raises OverflowError.
     """
     blocks = assemble_refined(group, partition, s, rep, n_basis).blocks
     hs2 = [np.vdot(b, b).real for b in blocks]
     if all(h < 1 for h in hs2) and sum(h * h / (2 * (1 - h)) for h in hs2) <= np.finfo(float).eps:
         return complex(np.exp(-np.einsum("bij,bji->", blocks, blocks)))
-    minus = _shifted_det(blocks, 1.0)
-    return complex(minus * _shifted_det(blocks, 2.0))  # 2 - (1 - L_b) = 1 + L_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(_shifted_det(blocks, 1.0) * _shifted_det(blocks, 2.0))  # 2 - (1 - L_b) = 1 + L_b
+    if not cmath.isfinite(value):
+        raise OverflowError(f"det(1 - L_tau^2) overflows float64 at s = {s}")
+    return value
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:

@@ -95,6 +95,14 @@ def test_primes_between_half_open():
     assert primes_between(20, 22) == []
 
 
+@pytest.mark.parametrize("lo, hi, primes", [
+    (0, 2, [2]), (1, 3, [2, 3]), (-5, 10, [2, 3, 5, 7]), (1.5, 2, [2]), (2, 3, [3]),
+])
+def test_primes_between_at_the_bottom_of_the_sieve(lo, hi, primes):
+    # the segment starts at max(floor(lo), 1) + 1 >= 2, so 1 is never in it
+    assert primes_between(lo, hi) == primes
+
+
 def test_primes_between_cap():
     with pytest.raises(SieveCapError):
         primes_between(0, 10**9)

@@ -69,6 +69,28 @@ def test_validate_rejects_a_non_integer_entry(tmp_path, capsys, where, value, vi
     assert err["violations"] == [violation]
     assert not (tmp_path / "validate.csv").exists()
 
+def test_validate_rejects_a_nonpositive_radius(tmp_path, capsys):
+    spec = {
+        "m": 1,
+        "disks": [{"center": 4.0, "radius": 0.0}, {"center": -4.0, "radius": 1.0}],
+        "generators": [[[4, 15], [1, 4]], [[4, -15], [-1, 4]]],
+    }
+    assert run(tmp_path, "validate", "--group", json.dumps(spec)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "GroupValidationError"
+    assert err["violations"] == ["disk 1 has nonpositive radius 0.0"]
+    assert not (tmp_path / "validate.csv").exists()
+
+
+def test_delta_command_refuses_methods_that_disagree(tmp_path, capsys, monkeypatch, delta2):
+    monkeypatch.setattr(zeta, "delta_from_zeta", lambda group, tol, n_basis: delta2 + 1.0)
+    assert run(tmp_path, "delta", "--group", "gamma_m:2", "--tol", "1e-6") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConvergenceError"
+    assert err["message"].startswith("delta methods disagree: 0.2748")
+    assert not (tmp_path / "delta.csv").exists()
+
+
 def test_inline_group_spec(tmp_path):
     spec = {
         "m": 1,
@@ -174,6 +196,7 @@ def test_zeros_command(tmp_path):
     ["--config"],
     ["zeta", "--group", "gamma_m:2", "--rep", "sym2", "--re-lo", "0.5", "--re-hi", "1.0"],
     ["validate", "--group", "no/such/group.json"],
+    ["validate", "--group", "gamma_m:0"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
         "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
@@ -191,7 +214,7 @@ def test_zeros_command(tmp_path):
         "zeta-rep-composite-modulus", "np-p-composite", "hs-sum-x-negative",
         "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty",
         "np-p-not-an-int", "unknown-flag", "missing-required-flag", "unknown-command",
-        "config-without-a-path", "zeta-unknown-rep", "unresolvable-group"])
+        "config-without-a-path", "zeta-unknown-rep", "unresolvable-group", "validate-gamma-m-0"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)
@@ -387,6 +410,37 @@ def test_config_value_outside_its_flag_type_is_a_json_error(tmp_path, capsys, mo
     assert err["error_type"] == "ValueError"
     key = next(iter(config))
     assert err["message"].startswith(f"argument --{key.replace('_', '-')}: invalid ")
+
+
+@pytest.mark.parametrize("config, argv, workers, message", [
+    ({"group": 5}, ["validate"], ["named_group", "validate_group"],
+     "cannot resolve group spec '5'"),
+    ({"group": None}, ["validate"], ["named_group", "validate_group"],
+     "cannot resolve group spec 'null'"),
+    ({"rep": 7}, ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4"], ["real_zeros"],
+     "unknown representation '7'"),
+    ({"refined": "yes"}, ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0"],
+     ["zeta_det", "refined_zeta"], 'argument --refined: a switch takes true or false, got "yes"'),
+    ({"workers": 2.5}, ["validate", "--group", "gamma_m:2"], ["named_group"],
+     "argument --workers: invalid int value: '2.5'"),
+], ids=["validate-group-int", "validate-group-null", "zeros-rep-int", "zeta-refined-string",
+        "top-level-workers-float"])
+def test_config_value_of_an_untyped_flag_or_switch_is_a_json_error(tmp_path, capsys, monkeypatch,
+                                                                   config, argv, workers, message):
+    # a value that is not a string is read as its JSON text, as --group 5 would be, at
+    # the top level as in a command
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a command ran with a config value its flag does not take")
+
+    for name in workers:
+        monkeypatch.setattr(cli, name, unexpected)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), *argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValueError"
+    assert message in err["message"]
+    assert not (tmp_path / f"{argv[0]}.json").exists()
 
 
 def test_config_takes_strings_null_where_the_default_is_none_and_ints_for_floats(tmp_path,

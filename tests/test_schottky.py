@@ -39,6 +39,11 @@ def test_named_group():
         named_group("nonsense")
 
 
+def test_gamma_m_needs_a_letter():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        gamma_m(0)
+
+
 def test_word_matrix_product(g2):
     # hand-computed product of the first two generators
     assert g2.word_matrix((1, 2)) == Moebius(47, 372, 12, 95)

@@ -417,6 +417,13 @@ def test_jensen_bound_raises_convergence_error_when_the_doublings_run_out(g2, de
                      theta_samples=8, bound_tol=1e-300)
 
 
+def test_jensen_bound_names_an_overflow_of_the_refined_determinant(g2):
+    # log|zeta_tau| reaches about 960 on this circle, past float64's largest log, 709.8:
+    # the run stops at the first such s, with no RuntimeWarning, instead of blaming N
+    with pytest.raises(OverflowError, match=r"overflows float64 at s = \(-0\.9"):
+        jensen_bound(g2, 11, 0.2, 2.0**-5, K=1.0, theta_samples=64)
+
+
 def _count_by_basis(monkeypatch, shift=None, sigma0=None, log_ratio=None):
     """A dict from N to the points refined_zeta is evaluated at with n_basis = N. With
     shift, off-centre values at N are scaled by exp(shift[N] log_ratio), which moves the
