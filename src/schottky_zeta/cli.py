@@ -25,7 +25,6 @@ from .congruence import (
     lambda_p0_traces,
     rep_lambda_p,
     rep_lambda_p0,
-    surjective_mod_p,
     trace_bruteforce,
 )
 from .schottky import (
@@ -201,8 +200,9 @@ def cmd_trace_check(args, outdir: Path) -> dict:
         raise ValueError(f"no hyperbolic word of length <= {args.max_len} to check")
     results = []
     for p in primes_between(args.pmin - 1, args.pmax):
-        surjective = surjective_mod_p(group, p)
-        results.append({"p": p, "surjective": surjective, "closure_size": closure_size(group, p),
+        size = closure_size(group, p)
+        surjective = size == p * (p * p - 1)
+        results.append({"p": p, "surjective": surjective, "closure_size": size,
                         "words_checked": len(hyperbolic) if surjective else 0, "mismatches": 0})
     checked = [r for r in results if r["surjective"]]
     if not checked:

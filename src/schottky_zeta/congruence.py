@@ -37,8 +37,7 @@ def reduce_mod(g: Moebius, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _closure_size(group: SchottkyGroup, p: int) -> int:
     """Size of the subgroup of SL_2(F_p), p prime, generated by the reduced
     generators, by a BFS over its elements: the fallback of `closure_size` and
-    its oracle in the tests. Cached; it stops past CLOSURE_CAP elements, counted per level.
-    """
+    its oracle in the tests. Cached; it stops at the element past CLOSURE_CAP."""
     gens = [reduce_mod(group.generator(a), p) for a in group.alphabet]
     gens = [(g[0][0], g[0][1], g[1][0], g[1][1]) for g in gens]
     identity = (1, 0, 0, 1)
@@ -57,9 +56,10 @@ def _closure_size(group: SchottkyGroup, p: int) -> int:
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
+                    if len(seen) > CLOSURE_CAP:
+                        raise SurjectivityError(f"closure mod {p} exceeds enumeration cap "
+                                                f"{CLOSURE_CAP} after {len(seen)} elements")
         frontier = nxt
-        if len(seen) > CLOSURE_CAP:
-            raise SurjectivityError(f"closure mod {p} exceeds enumeration cap {CLOSURE_CAP}")
     return len(seen)
 
 
@@ -116,12 +116,15 @@ def closure_size(group: SchottkyGroup, p: int) -> int:
     at most WITNESS_WORDS words per length) hold all three witnesses, H is
     all of SL_2(F_p) and this is p(p^2 - 1).
     Otherwise (p < 5; p = 5 or 7, where every square lies in {0, 1, 2, 4}, so
-    no witness exists; p >= 2^31, past `divides`; a reduction not onto) it is
-    the BFS size `_closure_size`, capped at CLOSURE_CAP. A composite p raises ValueError.
+    no witness exists; a reduction not onto) it is the BFS size `_closure_size`,
+    capped per element at CLOSURE_CAP. A composite p raises ValueError, as does
+    p >= 2^31, past `divides`, where an onto BFS could only end at the cap.
     """
     if p >= 2 and not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    if p < 2**31 and _witnessed(group, np.array([p]))[0]:
+    if p >= 2**31:
+        raise ValueError(f"modulus {p} is past the limit 2^31 of closure_size")
+    if _witnessed(group, np.array([p]))[0]:
         return p * (p * p - 1)
     return _closure_size(group, p)
 

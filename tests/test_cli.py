@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from schottky_zeta import cli, gamma_m, zeta
+from schottky_zeta import cli, congruence, gamma_m, zeta
 from schottky_zeta.cli import main
 from schottky_zeta.congruence import _closure_size, closure_size, rep_lambda_p
 
@@ -476,6 +476,22 @@ def test_distortion_command(tmp_path):
     assert [r[0] for r in rows[1:]] == ["deriv_ratio", "mirror_ratio", "norm_sqrt_tau",
                                         "product_ratio", "ups_vs_deriv", "y_count_band"]
     assert all(float(lo) <= float(hi) for _, lo, hi in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["np", "--group", "gamma_m:2", "--p", "2147483659", "--sigma", "0.2"],
+    ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--rep", "lambda_p0:2147483659"],
+], ids=["np", "zeros"])
+def test_a_prime_past_2_31_is_a_json_error(tmp_path, capsys, monkeypatch, argv):
+    # refused before any closure: the BFS of an onto reduction there could only
+    # end at CLOSURE_CAP, and a cap of 100 keeps a regression fast
+    monkeypatch.setattr(congruence, "CLOSURE_CAP", 100)
+    assert run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValueError"
+    assert "2^31" in err["message"]
+    assert not (tmp_path / f"{argv[0]}.csv").exists()
+    assert not (tmp_path / f"{argv[0]}.json").exists()
 
 
 def test_trace_check_runs_each_closure_once(tmp_path):

@@ -185,10 +185,22 @@ def test_a_cyclic_reduction_is_not_onto_at_any_prime():
 
 
 def test_the_bfs_refuses_a_closure_past_its_cap(g2, monkeypatch):
-    # |SL_2(F_7)| = 336; the uncached BFS stops once it has seen more than the cap
+    # |SL_2(F_7)| = 336; the uncached BFS stops at the first element past the cap
     monkeypatch.setattr(congruence, "CLOSURE_CAP", 100)
-    with pytest.raises(SurjectivityError, match="exceeds enumeration cap 100"):
+    with pytest.raises(SurjectivityError, match="exceeds enumeration cap 100 after 101 elements"):
         _closure_size.__wrapped__(g2, 7)
+
+
+def test_a_prime_past_2_31_is_refused_before_any_closure(g2, monkeypatch):
+    # divides cannot test the witnesses there, and an onto reduction has over
+    # 10^27 elements, so the BFS could only end at its cap; a cap of 100 keeps
+    # a regression fast
+    calls = []
+    monkeypatch.setattr(congruence, "CLOSURE_CAP", 100)
+    monkeypatch.setattr(congruence, "_closure_size", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="past the limit 2\\^31"):
+        closure_size(g2, 2147483659)
+    assert calls == []
 
 
 def test_a_composite_modulus_past_the_cap_is_refused_up_front(g2):

@@ -121,3 +121,17 @@ def test_one_truncation_ladder_chooses_n():
                   if isinstance(node, ast.Compare) and ast.unparse(node.left) == "n_basis"
                   and isinstance(node.ops[0], (ast.Is, ast.IsNot))]
     assert none_tests == []
+
+
+def test_surjectivity_is_decided_in_congruence_alone():
+    # zeta reads it from the SurjectivityError of rep_lambda_p0 (a prime sum
+    # certifies its primes as one array), and trace-check from the closure size
+    users = sorted(path.stem for path in PACKAGE_DIR.glob("*.py")
+                   if "surjective_mod_p" in {getattr(node, "id", None) or getattr(node, "name", None)
+                                             for node in ast.walk(ast.parse(path.read_text()))})
+    assert users == ["__init__", "congruence"]
+    tree = ast.parse((PACKAGE_DIR / "zeta.py").read_text())
+    raisers = sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                     and any(isinstance(node, ast.Raise) and "SurjectivityError" in ast.unparse(node)
+                             for node in ast.walk(fn)))
+    assert raisers == ["hs_prime_sum"]

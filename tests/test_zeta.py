@@ -527,6 +527,21 @@ def test_jensen_bound_refuses_a_non_surjective_prime_before_delta(monkeypatch):
         jensen_bound(gamma_m(1), 5, 0.1, 2.0**-4, K=2)
 
 
+def test_jensen_bound_takes_delta_at_its_own_n_basis(g2, monkeypatch):
+    # one spelling of delta's truncation: n_basis=0 reaches delta as 0 and is
+    # refused at its first transfer matrix, not after a delta at DEFAULT_N
+    real_delta = zeta.delta
+
+    def at_zero_only(group, tol, n_basis):
+        if n_basis != 0:
+            raise AssertionError(f"delta taken at N = {n_basis}")
+        return real_delta(group, tol, n_basis)
+
+    monkeypatch.setattr(zeta, "delta", at_zero_only)
+    with pytest.raises(ValueError, match="n_basis must be in 1..128"):
+        jensen_bound(g2, 5, 0.2, 2.0**-6, n_basis=0)
+
+
 def test_real_zeros_rejects_an_empty_range_before_any_determinant(g2, monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("no determinant may be evaluated")
@@ -583,7 +598,7 @@ def test_new_eigenvalue_count_refuses_a_bad_tol_before_surjectivity_and_delta(g2
     def unexpected(*args, **kwargs):
         raise AssertionError("surjectivity or delta computed for a bad tolerance")
 
-    monkeypatch.setattr(zeta, "surjective_mod_p", unexpected)
+    monkeypatch.setattr(zeta, "rep_lambda_p0", unexpected)
     monkeypatch.setattr(zeta, "delta", unexpected)
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
         new_eigenvalue_count(g2, 7, 0.3, tol=tol)
