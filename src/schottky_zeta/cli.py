@@ -297,9 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each flag that several commands share is declared once, in a parent parser
-    group, n_basis, rep, prime, tau = (_Parser(add_help=False) for _ in range(5))
+    group, n_basis, search_n, rep, prime, tau = (_Parser(add_help=False) for _ in range(6))
     group.add_argument("--group", required=True)
     n_basis.add_argument("--n-basis", type=int, default=DEFAULT_N)
+    search_n.add_argument("--n-basis", type=int, default=None,
+                          help=f"truncation N (default: the first of N = 8, 12, ..., {DEFAULT_N} "
+                               "whose answer at N - 4 agrees with the one at N: for zeros and np, "
+                               "det(1 - L_s) at N - 4 is within half its modulus of the value at N "
+                               "at every point the search evaluated; for jensen, the bound on the "
+                               "first circle is within --bound-tol of the bound at N - 4)")
     rep.add_argument("--rep", default="trivial")
     prime.add_argument("--p", type=int, required=True)
     prime.add_argument("--sigma", type=float, required=True)
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refined", action="store_true")
     p.add_argument("--tau", type=float, default=2.0**-6)
 
-    p = add("zeros", parents=[group, rep, n_basis])
+    p = add("zeros", parents=[group, rep, search_n])
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -335,14 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delta", parents=[group, n_basis])
     p.add_argument("--tol", type=float, default=1e-8)
 
-    # np and jensen declare their own --n-basis: a default set on the shared
-    # action would change it for every command that lists the n_basis parent
-    p = add("np", parents=[group, prime])
+    p = add("np", parents=[group, prime, search_n])
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--n-basis", type=int, default=None,
-                   help=f"truncation N (default: the first of N = 8, 12, ..., {DEFAULT_N} at which "
-                        "det(1 - L_s) at N - 4 is within half its modulus of the value at N at "
-                        "every point the search evaluated)")
 
     p = add("trace-check", parents=[group])
     p.add_argument("--max-len", type=int, default=6)
@@ -358,13 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mode", choices=["direct", "decomposed", "both"], default="both")
 
-    p = add("jensen", parents=[group, prime, tau])
+    p = add("jensen", parents=[group, prime, tau, search_n])
     p.add_argument("--K", type=float, default=6.0)
     p.add_argument("--theta-samples", type=int, default=512)
     p.add_argument("--bound-tol", type=float, default=0.1)
-    p.add_argument("--n-basis", type=int, default=None,
-                   help=f"truncation N (default: the first of N = 8, 12, ..., {DEFAULT_N} whose "
-                        "bound on the first circle is within --bound-tol of the bound at N - 4)")
 
     return parser
 
@@ -374,10 +371,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
     argparse reads only string defaults, so a flag's config value that is
     not a string becomes its JSON text and is read as the command line reads
-    it: 12 passes --n-basis 12, while 8.5, true or null fail there naming the
+    it: 12 passes --n-basis 12, while 8.5 or true fail there naming the
     flag, and 5 passes --group 5, which names no group. A string passes as
-    is, and so does null where the flag is optional and defaults to None. A
-    switch takes only true or false."""
+    is, and null only where the flag is optional with default None (the
+    searches' --n-basis). A switch takes only true or false."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)

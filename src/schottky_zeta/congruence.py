@@ -14,6 +14,7 @@ from .reps import UnitaryRep
 from .schottky import Moebius, SchottkyGroup
 
 CLOSURE_CAP = 10**7  # elements the BFS fallback of closure_size may enumerate
+DIRECT_P_CAP = 1000  # largest prime of a dense lambda_p, and so of the direct HS prime sum
 # The trace witnesses of closure_size are searched among the reduced words of
 # length <= WITNESS_LEN, stopping at the first length with more than
 # WITNESS_WORDS words. For gamma_m:2 that is length 8; every prime
@@ -262,9 +263,12 @@ def _parity_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def rep_lambda_p(group: SchottkyGroup, p: int) -> UnitaryRep:
     """The (p+1)-dimensional permutation representation on projective lines,
-    with x -> -x as its intertwiner of z -> -z."""
+    with x -> -x as its intertwiner of z -> -z. Its images are dense, so a
+    prime past DIRECT_P_CAP is refused before any is built."""
     if not surjective_mod_p(group, p):
         raise SurjectivityError(f"reduction mod {p} is not surjective")
+    if p > DIRECT_P_CAP:
+        raise ValueError(f"p={p} exceeds the dense lambda_p cap DIRECT_P_CAP={DIRECT_P_CAP}")
     # row i of f -> f(. g) is the delta at the index of x_i g
     eye = np.eye(p + 1)
     images = {a: eye[list(coset_perm(group.generator(a), p))] for a in group.alphabet}

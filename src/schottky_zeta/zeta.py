@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import dyadic_primes, log_weighted_sum
-from .congruence import SurjectivityError, lambda_p0_traces, rep_lambda_p0, surjective_primes
+from .congruence import DIRECT_P_CAP, SurjectivityError, lambda_p0_traces, rep_lambda_p0, surjective_primes
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Partition, SchottkyGroup, Word
 from .transfer import DEFAULT_N, _trace_pair_sum, assemble_refined, assemble_standard, pair_integrals
@@ -29,7 +29,6 @@ CIRCLE_SAMPLES = 32
 CIRCLE_MAX_REFINEMENTS = 5
 JENSEN_MAX_DOUBLINGS = 3
 TRUNCATION_GAP = 0.5               # largest |det at N - 4 - det at N| / |det at N| a zero search accepts
-DIRECT_P_CAP = 1000                # largest prime the materialized direct HS prime sum accepts
 
 
 class ConvergenceError(RuntimeError):
@@ -190,14 +189,27 @@ def _shifted_det(blocks: np.ndarray, shift: float) -> complex:
     return np.prod(np.linalg.det(blocks))
 
 
+def _finite(product, name: str, s: complex) -> complex:
+    """product(), a product of block determinants, taken with float64
+    overflow ignored; a value past float64's range raises OverflowError
+    naming the determinant and s."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(product())
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name} overflows float64 at s = {s}")
+    return value
+
+
 def zeta_det(
     group: SchottkyGroup,
     s: complex,
     rep: UnitaryRep | None = None,
     n_basis: int = DEFAULT_N,
 ) -> complex:
-    """det(1 - L_{s,rho}) of the truncated standard transfer operator."""
-    return complex(_shifted_det(assemble_standard(group, s, rep, n_basis).blocks, 1.0))
+    """det(1 - L_{s,rho}) of the truncated standard transfer operator; a
+    value past float64's range raises OverflowError."""
+    blocks = assemble_standard(group, s, rep, n_basis).blocks
+    return _finite(lambda: _shifted_det(blocks, 1.0), "det(1 - L_s)", s)
 
 
 def refined_zeta(
@@ -224,11 +236,8 @@ def refined_zeta(
     hs2 = [np.vdot(b, b).real for b in blocks]
     if all(h < 1 for h in hs2) and sum(h * h / (2 * (1 - h)) for h in hs2) <= np.finfo(float).eps:
         return complex(np.exp(-np.einsum("bij,bji->", blocks, blocks)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_shifted_det(blocks, 1.0) * _shifted_det(blocks, 2.0))  # 2 - (1 - L_b) = 1 + L_b
-    if not cmath.isfinite(value):
-        raise OverflowError(f"det(1 - L_tau^2) overflows float64 at s = {s}")
-    return value
+    # 2 - (1 - L_b) = 1 + L_b
+    return _finite(lambda: _shifted_det(blocks, 1.0) * _shifted_det(blocks, 2.0), "det(1 - L_tau^2)", s)
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
@@ -444,7 +453,7 @@ def count_zeros_rect(
     group: SchottkyGroup,
     rep: UnitaryRep | None,
     rect: tuple[complex, complex],
-    n_basis: int = DEFAULT_N,
+    n_basis: int | None = None,
 ) -> int:
     """Winding number of det(1 - L_s) along a rectangle boundary.
 
@@ -453,24 +462,24 @@ def count_zeros_rect(
     increments stay below pi/2. A sample whose |det| is at most BOUNDARY_FLOOR
     times the largest on the same contour raises BoundaryZeroError: the floor
     is relative, since near the zero of high order at s = 0 every |det| is tiny.
+    N is chosen by `_det_ladder` from the boundary samples of the count at N.
     """
     z0, z1 = map(complex, rect)
     if not (cmath.isfinite(z0) and cmath.isfinite(z1) and z0.real < z1.real and z0.imag < z1.imag):
         raise ValueError(f"need finite corners, lower-left below and left of upper-right, got {rect}")
     corners = [z0, complex(z1.real, z0.imag), z1, complex(z0.real, z1.imag)]
 
-    f = functools.cache(functools.partial(zeta_det, group, rep=rep, n_basis=n_basis))
-
-    def boundary(n_per_edge: int) -> list[complex]:
+    def boundary(det, n_per_edge: int) -> list[complex]:
         ts = np.arange(n_per_edge) / n_per_edge
-        values = [f(complex(a + t * (b - a)))
+        values = [det(complex(a + t * (b - a)))
                   for a, b in zip(corners, corners[1:] + corners[:1]) for t in ts]
         mags = np.abs(values)
         if mags.min() <= BOUNDARY_FLOOR * mags.max():
             raise BoundaryZeroError("determinant vanishes on the rectangle boundary")
         return values
 
-    return _winding_number(boundary, RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS)
+    return _det_ladder(group, rep, lambda det: _winding_number(
+        functools.partial(boundary, det), RECT_SAMPLES_PER_EDGE, RECT_MAX_REFINEMENTS), n_basis)[0]
 
 
 def _choose_n(run, gap, tol: float, n_basis: int | None):
@@ -488,6 +497,28 @@ def _choose_n(run, gap, tol: float, n_basis: int | None):
         if size <= tol:
             return result, n
     raise ConvergenceError(message)
+
+
+def _det_ladder(group: SchottkyGroup, rep: UnitaryRep | None, run, n_basis: int | None):
+    """(run(det), N), det(s) = det(1 - L_{s,rho}) at N, taken once per s and N.
+    `_choose_n` picks N by the largest relative gap of det from N - 4 to N over
+    every s run evaluated at N, within TRUNCATION_GAP: then each sign and phase
+    increment at N - 4 is the one at N."""
+    values: dict[int, dict[complex, complex]] = {}  # det(1 - L_s) by N, then s
+
+    def det(n: int, s):
+        at_n = values.setdefault(n, {})
+        if s not in at_n:
+            at_n[s] = zeta_det(group, s, rep, n)
+        return at_n[s]
+
+    def gap(n: int):
+        gaps = {s: abs(det(n - 4, s) - v) / abs(v) if v else math.inf for s, v in values[n].items()}
+        worst = max(gaps, key=gaps.get)
+        return gaps[worst], (f"det(1 - L_s) not converged in N: its relative gap from N = {n - 4} "
+                             f"to N = {n} is {gaps[worst]:.3g} at s = {worst}, above {TRUNCATION_GAP}")
+
+    return _choose_n(lambda n: run(functools.partial(det, n)), gap, TRUNCATION_GAP, n_basis)
 
 
 def _zero_search(det, lo: float, hi: float, tol: float):
@@ -511,7 +542,7 @@ def real_zeros(
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    n_basis: int | None = DEFAULT_N,
+    n_basis: int | None = None,
 ) -> ZeroReport:
     """All real zeros of det(1 - L_{s,rho}) in [lo, hi] with multiplicity.
 
@@ -521,13 +552,9 @@ def real_zeros(
     even-order dips of the proxy. Each candidate is confirmed and graded by
     the argument principle on a circle of radius 5 * tol whose closed upper
     half alone is evaluated (`_real_circle`). The report carries the proxy's
-    node count and final tail as its convergence evidence.
-
-    N is chosen by `_choose_n` from the largest relative gap of det(1 - L_s)
-    from N - 4 to N over every point the search at N evaluated (proxy nodes,
-    bisection midpoints, circle samples), within TRUNCATION_GAP: then each
-    sign and phase increment at N - 4 is the one at N. The N - 4 values at
-    shared points come from the rung below. The report's n_basis is the N kept.
+    node count and final tail as its convergence evidence, and as n_basis the
+    N that `_det_ladder` kept, by every point the search at N evaluated
+    (proxy nodes, bisection midpoints, circle samples).
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
@@ -535,22 +562,8 @@ def real_zeros(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if rep is not None and any(np.iscomplexobj(u) for u in rep.images.values()):
         raise SymmetryError(f"{rep.label} has complex images: its transfer matrix is not real at real s")
-    values: dict[int, dict[complex, complex]] = {}  # det(1 - L_s) by N, then s
-
-    def det(n: int, s):
-        at_n = values.setdefault(n, {})
-        if s not in at_n:
-            at_n[s] = zeta_det(group, s, rep, n)
-        return at_n[s]
-
-    def gap(n: int):
-        gaps = {s: abs(det(n - 4, s) - v) / abs(v) if v else math.inf for s, v in values[n].items()}
-        worst = max(gaps, key=gaps.get)
-        return gaps[worst], (f"det(1 - L_s) not converged in N: its relative gap from N = {n - 4} "
-                             f"to N = {n} is {gaps[worst]:.3g} at s = {worst}, above {TRUNCATION_GAP}")
-
-    (zeros, nodes, tail), n_basis = _choose_n(
-        lambda n: _zero_search(functools.partial(det, n), lo, hi, tol), gap, TRUNCATION_GAP, n_basis)
+    (zeros, nodes, tail), n_basis = _det_ladder(
+        group, rep, lambda det: _zero_search(det, lo, hi, tol), n_basis)
     return ZeroReport(rep_label=rep.label if rep is not None else "trivial", region=(lo, hi),
                       zeros=zeros, n_basis=n_basis, tol=tol, proxy_nodes=nodes, proxy_tail=tail)
 
@@ -582,9 +595,8 @@ def new_eigenvalue_count(
     A tol outside (0, inf) raises ValueError before `_twist` builds the rep
     and delta. sigma above delta counts 0 without a search, but after the rep
     (0.2 ms at p = 7 and 1 ms at p = 97 on a Xeon, with the closure cached).
-    The search is `real_zeros` on [sigma, delta + 2 tol]. n_basis=None lets
-    it choose N by its N - 4 evidence, and delta, when not supplied, is then
-    computed at DEFAULT_N; an explicit n_basis is used for both.
+    The search is `real_zeros` on [sigma, delta + 2 tol] at n_basis, which
+    None lets it choose; `_twist` says at which N delta is taken.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")

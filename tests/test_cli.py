@@ -133,6 +133,30 @@ def test_zeros_command(tmp_path):
     assert float(lines[1].split(",")[0]) == pytest.approx(0.27488, abs=1e-4)
 
 
+def test_zeros_chooses_n_unless_it_is_given(tmp_path):
+    argv = ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4", "--tol", "1e-6"]
+    assert run(tmp_path / "chosen", *argv) == 0
+    assert run(tmp_path / "fixed", *argv, "--n-basis", "16") == 0
+    chosen, fixed = (read_json(tmp_path / name, "zeros.json") for name in ("chosen", "fixed"))
+    assert (chosen["config"]["n_basis"], fixed["config"]["n_basis"]) == (None, 16)
+    assert chosen["report"]["n_basis"] in (8, 12, 16)
+    assert fixed["report"]["n_basis"] == 16
+    (zero,), (zero16,) = chosen["report"]["zeros"], fixed["report"]["zeros"]
+    assert zero["multiplicity"] == zero16["multiplicity"] == 1
+    assert abs(zero["re_s"] - zero16["re_s"]) <= 1e-6
+
+
+def test_zeta_refuses_a_determinant_past_float64(tmp_path, capsys):
+    # log|det| is 357.2 + 355.8 over the two symmetry blocks, past float64's 709.8
+    assert run(tmp_path, "zeta", "--group", "gamma_m:2", "--rep", "lambda_p0:11", "--n-basis", "8",
+               "--re-lo", "-2", "--re-hi", "-1.5", "--im", "3", "--points", "2") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "OverflowError"
+    assert err["message"] == "det(1 - L_s) overflows float64 at s = (-2+3j)"
+    assert not (tmp_path / "zeta.csv").exists()
+    assert not (tmp_path / "zeta.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["delta", "--group", "gamma_m:2", "--tol", "0"],
     ["delta", "--group", "gamma_m:2", "--tol=-1e-8"],
@@ -387,7 +411,7 @@ def test_config_supplies_the_shared_required_flags(tmp_path):
 
 
 @pytest.mark.parametrize("config, argv", [
-    ({"n_basis": None}, ["zeros", "--group", "gamma_m:2", "--lo", "0.1", "--hi", "0.4"]),
+    ({"n_basis": None}, ["delta", "--group", "gamma_m:2"]),
     ({"n_basis": None}, ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0"]),
     ({"n_basis": 8.5}, ["delta", "--group", "gamma_m:2"]),
     ({"n_basis": 8.5}, ["np", "--group", "gamma_m:2", "--p", "7", "--sigma", "0.3"]),
@@ -395,7 +419,7 @@ def test_config_supplies_the_shared_required_flags(tmp_path):
     ({"p": True}, ["np", "--group", "gamma_m:2", "--sigma", "0.3"]),
     ({"p": None}, ["np", "--group", "gamma_m:2", "--sigma", "0.3"]),
     ({"tol": [1e-6]}, ["delta", "--group", "gamma_m:2"]),
-], ids=["zeros-n-basis-null", "zeta-n-basis-null", "delta-n-basis-float", "np-n-basis-float",
+], ids=["delta-n-basis-null", "zeta-n-basis-null", "delta-n-basis-float", "np-n-basis-float",
         "np-p-float", "np-p-bool", "np-p-null", "delta-tol-list"])
 def test_config_value_outside_its_flag_type_is_a_json_error(tmp_path, capsys, monkeypatch,
                                                             config, argv):
@@ -494,6 +518,21 @@ def test_a_prime_past_2_31_is_a_json_error(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / f"{argv[0]}.json").exists()
 
 
+def test_a_prime_past_the_dense_cap_is_a_json_error(tmp_path, capsys, monkeypatch):
+    # p = 1009 is onto, by trace witnesses; its dense lambda_p is refused before any image
+    def unexpected(*args, **kwargs):
+        raise AssertionError("no projective-line permutation may be built")
+
+    monkeypatch.setattr(congruence, "coset_perm", unexpected)
+    assert run(tmp_path, "np", "--group", "gamma_m:2", "--p", "1009", "--sigma", "0.2") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ValueError"
+    assert err["message"] == f"p=1009 exceeds the dense lambda_p cap DIRECT_P_CAP={congruence.DIRECT_P_CAP}"
+    assert zeta.DIRECT_P_CAP is congruence.DIRECT_P_CAP
+    assert not (tmp_path / "np.csv").exists()
+    assert not (tmp_path / "np.json").exists()
+
+
 def test_trace_check_runs_each_closure_once(tmp_path):
     # the CLI and the trace functions share one cache entry per (group, p);
     # p = 5 and 7 take the BFS, p = 11 is certified by trace witnesses
@@ -536,8 +575,8 @@ def test_delta_command_runs_each_method_once(tmp_path, monkeypatch):
     ["np", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2"],
 ], ids=lambda argv: argv[0])
 def test_jensen_alone_leaves_n_basis_unset(argv):
-    # jensen's and np's --n-basis default to None; the shared action keeps DEFAULT_N for the rest
-    want = None if argv[0] == "np" else cli.DEFAULT_N
+    # the zero searches' --n-basis defaults to None; the fixed one keeps DEFAULT_N for the rest
+    want = None if argv[0] in ("zeros", "np") else cli.DEFAULT_N
     parser = cli.build_parser()
     assert parser.parse_args(argv).n_basis == want
     jensen = ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625"]

@@ -321,7 +321,7 @@ def test_confirmation_evaluates_the_closed_upper_half_once(g2, monkeypatch):
         return real(group, s, *args, **kwargs)
 
     monkeypatch.setattr(zeta, "zeta_det", counted)
-    report = real_zeros(g2, None, 0.1, 0.4)
+    report = real_zeros(g2, None, 0.1, 0.4, n_basis=DEFAULT_N)
     assert [m for _, m in report.zeros] == [1]
     assert len(circle) == len(set(circle)) == CIRCLE_SAMPLES // 2 + 1
     assert all(s.imag >= 0 for s in circle)

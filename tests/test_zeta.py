@@ -247,6 +247,22 @@ def test_rect_count_near_the_zero_at_zero(g2):
     assert count_zeros_rect(g2, rep_lambda_p0(g2, 5), (2e-5 - 1e-5j, 6e-5 + 1e-5j)) == 0
 
 
+@pytest.mark.parametrize("p, rect, count", [
+    (5, (0.0 + 2.5j, 0.4 + 5j), 26),
+    (None, (-0.5 + 2.5j, 0.4 + 5j), 11),
+    (None, (-0.5 + 0.1j, 0.4 + 2.5j), 6),
+], ids=["lambda_5^0", "trivial-upper", "trivial-lower"])
+def test_rect_count_at_the_chosen_n(g2, p, rect, count):
+    assert count_zeros_rect(g2, None if p is None else rep_lambda_p0(g2, p), rect) == count
+
+
+def test_rect_count_names_the_n_gap_it_cannot_close(g2, monkeypatch):
+    # the box counts 11 at the chosen N (above); no N closes a gap of 0
+    monkeypatch.setattr(zeta, "TRUNCATION_GAP", 0.0)
+    with pytest.raises(ConvergenceError, match=rf"relative gap from N = 12 to N = {DEFAULT_N} is "):
+        count_zeros_rect(g2, None, (-0.5 + 2.5j, 0.4 + 5j))
+
+
 def test_rect_count_refuses_a_zero_sample_on_the_contour(g2, delta2, monkeypatch):
     rect = (complex(delta2 - 0.05, -0.05), complex(delta2 + 0.05, 0.05))
     real = zeta.zeta_det
