@@ -29,6 +29,8 @@ CIRCLE_SAMPLES = 32
 CIRCLE_MAX_REFINEMENTS = 5
 JENSEN_MAX_DOUBLINGS = 3
 TRUNCATION_GAP = 0.5               # largest |det at N - 4 - det at N| / |det at N| a zero search accepts
+POWER_MAX_STEPS = 5000             # power iterations for one leading eigenvalue before ConvergenceError
+ILLINOIS_MAX_RUN = 6               # moves of one bracket end in a row before Illinois steps bisect
 
 
 class ConvergenceError(RuntimeError):
@@ -241,10 +243,27 @@ def refined_zeta(
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
-    """Spectral radius of L_s, from its even block alone: the Perron-Frobenius
-    eigenfunction is positive, so it is even under z -> -z."""
+    """Spectral radius of L_s at real s, by power iteration on its even block.
+
+    At real s the leading eigenvalue of L_s is simple and strictly dominant,
+    with a positive eigenfunction (McMullen, Amer. J. Math. 120, 1998;
+    Jenkinson and Pollicott, Amer. J. Math. 124, 2002), which is even under
+    z -> -z. From the constant functions (1 at k = 0 of each letter), y = B x,
+    lambda = ||y||, x = y / lambda is iterated until successive lambda agree
+    to a few ulps: O(n^2) a step and no dense eigensolver. A block with no
+    dominant eigenvalue raises ConvergenceError after POWER_MAX_STEPS."""
     even = assemble_standard(group, s, None, n_basis).blocks[0]
-    return float(np.max(np.abs(np.linalg.eigvals(even))))
+    x = np.zeros(len(even))
+    x[::n_basis] = 1.0
+    lam = 0.0
+    for _ in range(POWER_MAX_STEPS):
+        y = even @ x
+        prev, lam = lam, float(np.linalg.norm(y))
+        if abs(lam - prev) <= 4 * np.finfo(float).eps * lam:
+            return lam
+        x = y / lam
+    raise ConvergenceError(f"power iteration for the leading eigenvalue at s = {s} "
+                           f"did not converge in {POWER_MAX_STEPS} steps")
 
 
 # -- delta ----------------------------------------------------------------------
@@ -332,17 +351,54 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
     return sorted(roots), n + 1, tail
 
 
+def _illinois(f, a: float, fa: float, b: float, fb: float, width: float) -> tuple[float, float]:
+    """[a, b] with f(a) > 0 >= f(b), f decreasing, shrunk by Illinois steps
+    until b - a <= width or no float lies strictly inside: regula falsi that
+    halves the value kept at one end while the other end moves twice or more
+    running (Dowell and Jarratt, BIT 11, 1971). A step is kept width / 4, and
+    at least one float, from either end, so a root at an end costs one step;
+    after ILLINOIS_MAX_RUN moves of one end in a row, steps bisect, so a
+    stretch where f is 0 is halved, not crawled."""
+    run = 0                         # +k: a moved the last k steps, -k: b did
+    while b - a > width:
+        x = b - fb * (b - a) / (fb - fa)
+        x = min(max(x, a + width / 4, math.nextafter(a, b)), b - width / 4, math.nextafter(b, a))
+        if abs(run) >= ILLINOIS_MAX_RUN or not a < x < b:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = f(x)
+        if fx > 0:
+            a, fa = x, fx
+            fb, run = (fb / 2, run + 1) if run > 0 else (fb, 1)
+        else:
+            b, fb = x, fx
+            fa, run = (fa / 2, run - 1) if run < 0 else (fa, -1)
+    return a, b
+
+
 def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
-    """Dimension of the limit set: the s with leading eigenvalue of L_s = 1."""
+    """Dimension of the limit set: the s where the leading eigenvalue of L_s
+    is 1, as the midpoint of a bisection of DELTA_BRACKET to width tol.
+
+    excess(s) = lambda_0(s) - 1 is decreasing in s. Illinois steps
+    (`_illinois`) first shrink a bracket [a, b], excess(a) > 0 >= excess(b),
+    to width tol / 4; the bisection then takes the sign of a midpoint outside
+    (a, b) from the bracket and evaluates only those inside, so it returns the
+    plain bisection's float from about half its eigenvalues."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     lo, hi = DELTA_BRACKET
 
     def excess(s: float) -> float:
         return leading_eigenvalue(group, s, n_basis) - 1.0
 
-    f_lo = excess(lo)
-    if f_lo < 0 or excess(hi) > 0:
+    f_lo, f_hi = excess(lo), excess(hi)
+    if not f_lo > 0 >= f_hi:
         raise ConvergenceError(f"bisection bracket {DELTA_BRACKET} does not straddle delta")
-    return _bisect_sign_change(excess, lo, hi, f_lo, tol)
+    a, b = _illinois(excess, lo, f_lo, hi, f_hi, tol / 4)
+    return _bisect_sign_change(lambda s: 1.0 if s <= a else -1.0 if s >= b else excess(s),
+                               lo, hi, f_lo, tol)
 
 
 def delta_from_zeta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
@@ -367,10 +423,12 @@ def delta_methods(
 
 
 def delta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N) -> float:
-    """delta by eigenvalue bisection, checked by two determinants: det(1 - L_s)
-    must change sign across [delta - tol, delta + tol], or ConvergenceError.
-    The leading eigenvalue of L_s is simple and decreasing in real s, so no
-    eigenvalue is 1 above delta and that zero is the largest real one."""
+    """delta by `delta_bisection` (the bisection of lambda_0(s) = 1, from
+    power iterations inside an Illinois bracket), checked by two determinants:
+    det(1 - L_s) must change sign across [delta - tol, delta + tol], or
+    ConvergenceError. The leading eigenvalue of L_s is simple and decreasing
+    in real s, so no eigenvalue is 1 above delta and that zero is the largest
+    real one."""
     d = delta_bisection(group, tol, n_basis)
     below, above = (zeta_det(group, s, None, n_basis).real for s in (d - tol, d + tol))
     if not below * above <= 0:

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from schottky_zeta import (
 from schottky_zeta.congruence import SurjectivityError, rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
 from schottky_zeta.schottky import SchottkyGroup, validate_group
-from schottky_zeta.transfer import DEFAULT_N, assemble_refined
+from schottky_zeta.transfer import DEFAULT_N, assemble_refined, assemble_standard
 from schottky_zeta.zeta import (
+    DELTA_BRACKET,
     BoundaryZeroError,
     ConvergenceError,
+    _bisect_sign_change,
     _winding_number,
     delta_bisection,
     delta_from_zeta,
@@ -209,6 +213,123 @@ def test_delta_raises_without_a_determinant_sign_change(g2, monkeypatch):
     monkeypatch.setattr(zeta, "zeta_det", lambda *args: abs(real(*args)))
     with pytest.raises(ConvergenceError, match=r"keeps its sign across delta = 0\.2748.* and "):
         delta(g2, tol=1e-8)
+
+
+def _eigvals_delta(group, n_basis):
+    """delta to a given tol as the plain bisection of DELTA_BRACKET on the
+    spectral radius of the even block by a dense eigensolver, one evaluation
+    per midpoint; raises ConvergenceError where the bracket does not hold
+    delta. Bisections to finer tols share the midpoints of coarser ones."""
+    @functools.cache
+    def excess(s):
+        even = assemble_standard(group, s, None, n_basis).blocks[0]
+        return float(np.max(np.abs(np.linalg.eigvals(even)))) - 1.0
+
+    lo, hi = DELTA_BRACKET
+
+    def at(tol):
+        if not excess(lo) > 0 >= excess(hi):
+            raise ConvergenceError("bracket does not straddle delta")
+        return _bisect_sign_change(excess, lo, hi, excess(lo), tol)
+
+    return at
+
+
+def _shifted(group):
+    """group conjugated by z -> z + 1: the same delta, and no involution for
+    the z -> -z symmetry, so its transfer operator is one block."""
+    def conj(g):
+        m = np.array([[1, 1], [0, 1]]) @ np.array([[g.a, g.b], [g.c, g.d]]) @ np.array([[1, -1], [0, 1]])
+        return m.tolist()
+
+    return validate_group({
+        "m": group.m,
+        "disks": [{"center": disk.center + 1, "radius": disk.radius} for disk in group.disks],
+        "generators": [conj(g) for g in group.generators],
+        "label": f"{group.label}+1",
+    })
+
+
+@pytest.mark.parametrize("n_basis", [8, 12, 16])
+@pytest.mark.parametrize("m, shifted", [(1, False), (2, False), (3, False), (4, False), (8, False),
+                                        (2, True)])
+def test_delta_bisection_is_the_plain_eigenvalue_bisection(m, shifted, n_basis):
+    # bit for bit, by float.hex; below tol ~ 1e-14 both sides' signs next to
+    # delta are rounding and may differ. gamma_m:1 is cyclic, delta = 0 lies
+    # below the bracket, so both sides raise.
+    group = _shifted(gamma_m(m)) if shifted else gamma_m(m)
+    assert (group.involution is None) == shifted
+    want = _eigvals_delta(group, n_basis)
+    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        if m == 1:
+            for f in (want, lambda tol: delta_bisection(group, tol, n_basis)):
+                with pytest.raises(ConvergenceError, match="straddle"):
+                    f(tol)
+        else:
+            assert delta_bisection(group, tol, n_basis).hex() == want(tol).hex(), tol
+
+
+@pytest.mark.parametrize("n_basis", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_leading_eigenvalue_is_the_spectral_radius(m, n_basis):
+    group = gamma_m(m)
+    for s in np.linspace(1e-3, 0.999, 23):
+        even = assemble_standard(group, float(s), None, n_basis).blocks[0]
+        want = float(np.max(np.abs(np.linalg.eigvals(even))))
+        assert leading_eigenvalue(group, float(s), n_basis) == pytest.approx(want, rel=1e-13, abs=0), s
+
+
+def test_leading_eigenvalue_without_a_dominant_eigenvalue_raises(g2, monkeypatch):
+    # eigenvalues 1 and -1 in a non-normal block: ||B x|| / ||x|| alternates
+    block = np.array([[[1.0, 1.0], [0.0, -1.0]]])
+    monkeypatch.setattr(zeta, "assemble_standard", lambda *args: types.SimpleNamespace(blocks=block))
+    with pytest.raises(ConvergenceError, match=r"leading eigenvalue at s = 0\.5 did not converge"):
+        leading_eigenvalue(g2, 0.5, n_basis=1)
+
+
+def _count_eigenvalues(monkeypatch):
+    calls = []
+    real = zeta.leading_eigenvalue
+
+    def counted(group, s, n_basis=DEFAULT_N):
+        calls.append(s)
+        return real(group, s, n_basis)
+
+    monkeypatch.setattr(zeta, "leading_eigenvalue", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_delta_rejects_a_bad_tolerance_before_any_eigenvalue(g2, monkeypatch, tol):
+    calls = _count_eigenvalues(monkeypatch)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        delta_bisection(g2, tol)
+    assert calls == []
+
+
+def test_delta_below_the_float_spacing_raises_after_few_eigenvalues(g2, monkeypatch):
+    calls = _count_eigenvalues(monkeypatch)
+    with pytest.raises(ValueError, match=r"tolerance 1e-300 is below the float spacing near 0\.27488"):
+        delta_bisection(g2, 1e-300)
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("m, tol, most", [(2, 1e-8, 12), (8, 1e-6, 14)])
+def test_delta_takes_few_eigenvalues(monkeypatch, m, tol, most):
+    # the plain bisection takes 29 and 22
+    calls = _count_eigenvalues(monkeypatch)
+    d = delta_bisection(gamma_m(m), tol)
+    assert len(calls) <= most
+    assert d == {2: 0.2748820650354028, 8: 0.5314401941299438}[m]
+
+
+def test_delta_and_jensen_need_no_dense_eigensolver(g2, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    assert delta(g2, tol=1e-8) == 0.2748820650354028
+    assert jensen_bound(g2, 5, 0.2, 2**-6, K=2, theta_samples=64) >= 0
 
 
 def test_real_zeros_find_delta(g2, delta2):
