@@ -166,9 +166,9 @@ def _line_images(gs, p: int):
 
     (u:v) g = (ua + vc : ub + vd), and the image of (1:x) is (b + xd)/(a + xc)
     where that denominator is non-zero, else (0:1). The entries are reduced
-    mod p as exact integers first, since long words pass int64."""
-    if not 2 <= p < 2**31:
-        raise ValueError(f"modulus must be in [2, 2^31), got {p}")
+    mod p as exact integers first, since long words pass int64. p must be a prime below 2^31."""
+    if not (2 <= p < 2**31 and is_prime(p)):
+        raise ValueError(f"modulus must be a prime in [2, 2^31), got {p}")
     rows = np.array([(g.a, g.b, g.c, g.d) for g in gs], dtype=object).reshape(-1, 4)
     rows = (rows % p).astype(np.int64)
     inv = _fermat_inverses(p)
@@ -185,7 +185,7 @@ def _line_images(gs, p: int):
 def coset_perm(g: Moebius, p: int) -> tuple[int, ...]:
     """Permutation of the projective line P^1(F_p) under the right action
     x -> x g, with the line (1:x) indexed by x < p and (0:1) by p: the one
-    row of `_line_images`."""
+    row of `_line_images`, which refuses a p that is not a prime below 2^31."""
     return tuple(next(_line_images([g], p))[0].tolist())
 
 

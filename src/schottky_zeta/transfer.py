@@ -31,8 +31,13 @@ MAX_N = 128  # bounds each pair's N x 4N samples and the dense blocks
 HS_CONVERGENCE_TOL = 1e-6  # agreement required between the HS norm at DEFAULT_N and at DEFAULT_N - 4
 
 
-class QuadratureError(RuntimeError):
-    """Raised when an HS norm does not stabilize under truncation."""
+class ConvergenceError(RuntimeError):
+    """An answer did not settle within its tolerance (here an HS norm; in `zeta` every search)."""
+
+
+def _require_finite(name: str, value: complex) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
@@ -261,8 +266,7 @@ def assemble_pairs(
 
     The s-independent data is built on first use (`_plan`) and kept while rep
     and group live; each call returns a new matrix."""
-    if not cmath.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    _require_finite("s", s)
     plan = _plan(group, pairs, rep if rep is not None else trivial_rep(group), n_basis)
     return TransferMatrix(plan.blocks(s, n_basis), plan)
 
@@ -329,8 +333,7 @@ def pair_integrals(
 
 def _pair_integrals(group: SchottkyGroup, partition: Partition, s: complex, n_basis: int, truncations):
     """`pair_integrals` at each n <= n_basis in truncations, from one plan's n x n corners."""
-    if not cmath.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    _require_finite("s", s)
     plan = _plan(group, partition.pairs, trivial_rep(group), n_basis)
     coef = plan.coefficients(s, n_basis) * plan.target_scale[:, None, :n_basis]
     blocks: dict[tuple[int, int], list[int]] = {}
@@ -368,7 +371,7 @@ def hs_norm_integral(
 ) -> HSRecord:
     """||L||_HS^2 summed from tr(rho(g_a^{-1} g_b)) I_{a,b} pair terms, with
     I_{a,b} the coefficient Gram sums of `pair_integrals` at DEFAULT_N.
-    QuadratureError when that differs by more than HS_CONVERGENCE_TOL from the
+    ConvergenceError when that differs by more than HS_CONVERGENCE_TOL from the
     same sum over the leading (DEFAULT_N - 4)-square corners of the same
     coefficients: the gap estimates the truncation error at DEFAULT_N, and
     bounds it only if that error at least halves from DEFAULT_N - 4 on.
@@ -377,8 +380,8 @@ def hs_norm_integral(
     value, coarse = (_trace_pair_sum(rep, ints) for ints in
                      _pair_integrals(group, partition, s, DEFAULT_N, (DEFAULT_N, DEFAULT_N - 4)))
     if abs(value - coarse) > HS_CONVERGENCE_TOL * max(1.0, abs(value)):
-        raise QuadratureError(
+        raise ConvergenceError(
             f"HS norm not converged: {coarse} at N = {DEFAULT_N - 4} vs {value} at N = {DEFAULT_N}")
     if value < 0:
-        raise QuadratureError(f"negative squared HS norm {value}")
+        raise ConvergenceError(f"negative squared HS norm {value}")
     return HSRecord(value=value, tau=partition.tau, s=s, rep_label=rep.label, n_basis=DEFAULT_N)

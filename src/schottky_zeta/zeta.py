@@ -15,7 +15,8 @@ from .arithmetic import dyadic_primes, log_weighted_sum
 from .congruence import DIRECT_P_CAP, SurjectivityError, lambda_p0_traces, rep_lambda_p0, surjective_primes
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Partition, SchottkyGroup, Word
-from .transfer import DEFAULT_N, _trace_pair_sum, assemble_refined, assemble_standard, pair_integrals
+from .transfer import (DEFAULT_N, ConvergenceError, _require_finite, _trace_pair_sum, assemble_refined,
+                       assemble_standard, pair_integrals)
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
 CHEB_START_N = 16                  # first Chebyshev proxy degree of a real-axis root search
@@ -33,10 +34,6 @@ POWER_MAX_STEPS = 5000             # power iterations for one leading eigenvalue
 ILLINOIS_MAX_RUN = 6               # moves of one bracket end in a row before Illinois steps bisect
 
 
-class ConvergenceError(RuntimeError):
-    pass
-
-
 class SymmetryError(RuntimeError):
     """A real-axis search was given a rep whose transfer matrix is not real.
 
@@ -44,6 +41,12 @@ class SymmetryError(RuntimeError):
     real, held as float64 (`UnitaryRep`); `real_zeros` raises this for any
     other rep before it takes a determinant, also for a rep written in a
     complex basis whose determinant is real."""
+
+
+def _positive(name: str, value: float) -> None:
+    """Every refusal of a tolerance or scale outside (0, inf), NaN included."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 # -- primitive conjugacy classes ------------------------------------------------
@@ -145,19 +148,20 @@ def euler_product(
 ) -> complex:
     """Truncated product over primitive classes; valid for Re s > delta.
 
-    Raises ConvergenceError when the geometric tail estimate at len_max
-    exceeds tail_tol.
+    A non-finite s, len_max < 1 or a tail_tol outside (0, inf) raises
+    ValueError before any class is enumerated. Raises ConvergenceError when
+    the geometric tail estimate at len_max exceeds tail_tol.
     """
+    _require_finite("s", s)
+    if len_max < 1:
+        raise ValueError(f"len_max must be >= 1, got {len_max}")
+    _positive("tail_tol", tail_tol)
     rep = rep if rep is not None else trivial_rep(group)
     sigma = s.real
     levels = [(words, _lengths(traces)) for words, traces in _lyndon_levels(group, len_max)]
-    if levels:
-        ell_min = levels[0][1].min()
-        q = (2 * group.m - 1) * math.exp(-sigma * ell_min)
-        if q >= 1 or 2 * group.m * q ** (len_max + 1) / (1 - q) > tail_tol:
-            raise ConvergenceError(
-                f"Euler product tail not below {tail_tol} at len_max={len_max}, Re s={sigma}"
-            )
+    q = (2 * group.m - 1) * math.exp(-sigma * levels[0][1].min())
+    if q >= 1 or 2 * group.m * q ** (len_max + 1) / (1 - q) > tail_tol:
+        raise ConvergenceError(f"Euler product tail not below {tail_tol} at len_max={len_max}, Re s={sigma}")
     total = 1.0 + 0.0j
     eye = np.eye(rep.dim, dtype=complex)
     images = np.array([rep.images[a] for a in group.alphabet], dtype=complex)
@@ -271,9 +275,7 @@ def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N)
 
 def _bisect_sign_change(f, a: float, b: float, fa: float, tol: float) -> float:
     """Midpoint of [a, b] after halving it until b - a <= tol, keeping a sign
-    change of f inside; fa = f(a)."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    change of f inside; fa = f(a). Its callers refuse a tol outside (0, inf)."""
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -302,8 +304,7 @@ def _chebyshev_roots(f, lo: float, hi: float, tol: float):
 
     Returns (roots, n + 1, tail), roots the sorted (s, sign_change) pairs, one
     per cluster narrower than the proxy's resolution of an even-order zero."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _positive("tolerance", tol)
     f = functools.cache(f)
     cheb = np.polynomial.chebyshev
 
@@ -386,8 +387,7 @@ def delta_bisection(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFA
     to width tol / 4; the bisection then takes the sign of a midpoint outside
     (a, b) from the bracket and evaluates only those inside, so it returns the
     plain bisection's float from about half its eigenvalues."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _positive("tolerance", tol)
     lo, hi = DELTA_BRACKET
 
     def excess(s: float) -> float:
@@ -414,8 +414,8 @@ def delta_from_zeta(group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFA
 def delta_methods(
     group: SchottkyGroup, tol: float = 1e-8, n_basis: int = DEFAULT_N
 ) -> tuple[float, float]:
-    """(eigenvalue bisection, largest determinant zero), which must agree to 10 tol."""
-    d1 = delta_bisection(group, tol, n_basis)
+    """(`delta`, largest determinant zero), which must agree to 10 tol."""
+    d1 = delta(group, tol, n_basis)
     d2 = delta_from_zeta(group, tol, n_basis)
     if abs(d1 - d2) > 10 * tol:
         raise ConvergenceError(f"delta methods disagree: {d1} vs {d2} (tol {tol})")
@@ -616,8 +616,7 @@ def real_zeros(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _positive("tolerance", tol)
     if rep is not None and any(np.iscomplexobj(u) for u in rep.images.values()):
         raise SymmetryError(f"{rep.label} has complex images: its transfer matrix is not real at real s")
     (zeros, nodes, tail), n_basis = _det_ladder(
@@ -656,8 +655,7 @@ def new_eigenvalue_count(
     The search is `real_zeros` on [sigma, delta + 2 tol] at n_basis, which
     None lets it choose; `_twist` says at which N delta is taken.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _positive("tolerance", tol)
     rep, d = _twist(group, p, sigma, min(tol, 1e-6), n_basis, delta_value)
     if sigma > d:
         return 0
@@ -688,18 +686,16 @@ def jensen_bound(
     N is chosen by `_choose_n` from how far the implied bound on the first
     circle of theta_samples points moves from N - 4 to N, within bound_tol;
     the doubling then runs at that N on the same cached circle. The rep and
-    delta come from `_twist`, after the checks of the arguments.
+    delta come from `_twist`, after the checks of the arguments and tau's partition.
     """
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
-    if not 0 < K < math.inf:
-        raise ValueError(f"K must be positive and finite, got {K}")
-    if not 0 < bound_tol < math.inf:
-        raise ValueError(f"bound_tol must be positive and finite, got {bound_tol}")
+    _positive("K", K)
+    _positive("bound_tol", bound_tol)
+    partition = group.partition(tau)
     rep, d = _twist(group, p, sigma, 1e-6, n_basis, delta_value)
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")
-    partition = group.partition(tau)
     sigma0 = d + K
     r1 = math.sqrt((sigma0 - sigma) ** 2 + 1.0)
     r2 = r1 + 1.0 / K
@@ -756,12 +752,13 @@ def hs_prime_sum(
 
     direct: per-prime pair-integral HS norms with the materialized sum-zero
     representation. decomposed: diagonal prime sum plus off-diagonal
-    character sums via the fixed-line trace formula. A prime p ~ x whose
-    reduction is not onto SL_2(F_p) raises SurjectivityError before any pair
-    integral.
+    character sums via the fixed-line trace formula. A non-finite s raises
+    ValueError before the sieve, and a prime p ~ x whose reduction is not onto
+    SL_2(F_p) raises SurjectivityError before any pair integral.
     """
     if mode not in ("direct", "decomposed", "both"):
         raise ValueError(f"mode must be 'direct', 'decomposed' or 'both', got {mode!r}")
+    _require_finite("s", s)
     partition = group.partition(tau)
     prime_array, logs = dyadic_primes(x)
     primes = prime_array.tolist()

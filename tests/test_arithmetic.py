@@ -245,6 +245,17 @@ def test_hs_prime_sum_refuses_a_non_surjective_prime_before_any_pair_integral(mo
         hs_prime_sum(gamma_m(1), 2.0**-6, 0.9, 60.0)
 
 
+@pytest.mark.parametrize("s", [math.nan, complex(0.9, math.inf)])
+def test_hs_prime_sum_refuses_a_non_finite_s_before_the_sieve(g2, monkeypatch, s):
+    # at x = 1e7 the sieve and the certificates of its 316,066 primes came first
+    def unexpected(*args, **kwargs):
+        raise AssertionError("primes sieved for a non-finite s")
+
+    monkeypatch.setattr(zeta, "dyadic_primes", unexpected)
+    with pytest.raises(ValueError, match="s must be finite"):
+        hs_prime_sum(g2, 2.0**-6, s, 1e7, mode="decomposed")
+
+
 def test_hs_prime_sum_decomposed_runs_no_primality_test(g2, monkeypatch):
     # the sieve's primes are certified as one array, never one is_prime at a time
     def no_is_prime(n):

@@ -567,6 +567,17 @@ def test_delta_command_runs_each_method_once(tmp_path, monkeypatch):
     assert report["delta"] == report["bisection"]
 
 
+def test_delta_command_checks_the_bisection_by_two_determinants(tmp_path, capsys, monkeypatch):
+    # the CLI's delta is zeta.delta's: det(1 - L_s) must change sign across it
+    real = zeta.zeta_det
+    monkeypatch.setattr(zeta, "zeta_det", lambda *args: abs(real(*args)))
+    assert run(tmp_path, "delta", "--group", "gamma_m:2", "--tol", "1e-6") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_type"] == "ConvergenceError"
+    assert "keeps its sign across delta = 0.2748" in err["message"]
+    assert not (tmp_path / "delta.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["distortion", "--group", "gamma_m:2"],
     ["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "1.0"],

@@ -97,6 +97,17 @@ def test_coset_perm_is_permutation(g2):
             assert sorted(perm) == list(range(p + 1))
 
 
+@pytest.mark.parametrize("p", [4, 9, 15, 143])
+def test_coset_perm_refuses_a_composite_modulus(g2, monkeypatch, p):
+    # mod 4 the first generator of gamma_m(2) once gave (4, 3, 0, 3, 0), no permutation
+    def unexpected(*args):
+        raise AssertionError("inverses taken mod a composite")
+
+    monkeypatch.setattr(congruence, "_fermat_inverses", unexpected)
+    with pytest.raises(ValueError, match=rf"modulus must be a prime in \[2, 2\^31\), got {p}$"):
+        coset_perm(g2.generator(1), p)
+
+
 def test_coset_perm_identity():
     assert coset_perm(Moebius(1, 0, 0, 1), 7) == tuple(range(8))
 

@@ -135,3 +135,33 @@ def test_surjectivity_is_decided_in_congruence_alone():
                      and any(isinstance(node, ast.Raise) and "SurjectivityError" in ast.unparse(node)
                              for node in ast.walk(fn)))
     assert raisers == ["hs_prime_sum"]
+
+
+def _range_checks(node: ast.AST, function: str | None = None):
+    """The innermost enclosing function of each `0 < x < math.inf` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _range_checks(child, child.name)
+            continue
+        if (isinstance(child, ast.Compare) and len(child.ops) == 2
+                and all(isinstance(op, ast.Lt) for op in child.ops)
+                and ast.unparse(child.left) == "0" and ast.unparse(child.comparators[1]) == "math.inf"):
+            yield function
+        yield from _range_checks(child, function)
+
+
+def _classes_named(name: str) -> list[str]:
+    return sorted(path.stem for path in PACKAGE_DIR.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_each_refusal_and_the_convergence_error_are_written_once():
+    # a tolerance, K or bound outside (0, inf) is refused by zeta._positive
+    # alone, and one exception, defined in the lowest layer that raises it,
+    # says that an answer did not settle
+    checks = {path.stem: list(_range_checks(ast.parse(path.read_text())))
+              for path in PACKAGE_DIR.glob("*.py")}
+    assert {name: where for name, where in checks.items() if where} == {"zeta": ["_positive"]}
+    assert _classes_named("QuadratureError") == []
+    assert _classes_named("ConvergenceError") == ["transfer"]

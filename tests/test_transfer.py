@@ -10,10 +10,9 @@ from schottky_zeta import gamma_m, hs_norm_integral, hs_norm_matrix, zeta_det
 from schottky_zeta.congruence import rep_lambda_p0
 from schottky_zeta.reps import UnitaryRep, trivial_rep
 from schottky_zeta.schottky import Moebius, SchottkyGroup, validate_group
-from schottky_zeta import transfer
+from schottky_zeta import transfer, zeta
 from schottky_zeta.transfer import (
     DEFAULT_N,
-    QuadratureError,
     _moebius_log,
     _OperatorPlan,
     assemble_pairs,
@@ -228,6 +227,16 @@ def test_hs_rep_dimension_scaling(g2, part2_64):
 def test_hs_quadrature_error(g2, part2_64):
     with pytest.raises(ValueError):
         pair_integrals(g2, part2_64, 0.9, n_basis=0)
+
+
+def test_hs_norm_integral_names_both_truncations_when_they_disagree(g2, part2_64, monkeypatch):
+    # with no tolerance left, any gap between N - 4 and N is a refusal, and the
+    # error is the one ConvergenceError that zeta raises too
+    monkeypatch.setattr(transfer, "HS_CONVERGENCE_TOL", 0.0)
+    with pytest.raises(transfer.ConvergenceError,
+                       match=rf"HS norm not converged: .* at N = {DEFAULT_N - 4} vs .* at N = {DEFAULT_N}$"):
+        hs_norm_integral(g2, part2_64, 0.9)
+    assert zeta.ConvergenceError is transfer.ConvergenceError
 
 
 def test_hs_record_metadata(g2, part2_64):

@@ -21,7 +21,7 @@ from schottky_zeta import (
 )
 from schottky_zeta.congruence import SurjectivityError, rep_lambda_p0
 from schottky_zeta.reps import direct_sum, trivial_rep
-from schottky_zeta.schottky import SchottkyGroup, validate_group
+from schottky_zeta.schottky import PartitionError, SchottkyGroup, validate_group
 from schottky_zeta.transfer import DEFAULT_N, assemble_refined, assemble_standard
 from schottky_zeta.zeta import (
     DELTA_BRACKET,
@@ -177,6 +177,27 @@ def test_euler_product_matches_determinant(g2, delta2):
 def test_euler_product_tail_guard(g2):
     with pytest.raises(ConvergenceError):
         euler_product(g2, 0.05, len_max=4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"s": math.nan}, "s must be finite"),
+    ({"s": math.inf}, "s must be finite"),
+    ({"s": complex(1.2, math.nan)}, "s must be finite"),
+    ({"len_max": 0}, "len_max must be >= 1, got 0"),
+    ({"len_max": -3}, "len_max must be >= 1, got -3"),
+    ({"tail_tol": math.nan}, "tail_tol must be positive and finite, got nan"),
+    ({"tail_tol": math.inf}, "tail_tol must be positive and finite, got inf"),
+    ({"tail_tol": 0.0}, "tail_tol must be positive and finite, got 0.0"),
+], ids=["s-nan", "s-inf", "s-nan-imag", "len-max-0", "len-max-negative",
+        "tail-tol-nan", "tail-tol-inf", "tail-tol-0"])
+def test_euler_product_refuses_bad_input_before_any_class(g2, monkeypatch, kwargs, message):
+    # each of these once returned 1+0j or skipped the tail check
+    def unexpected(*args, **kwargs):
+        raise AssertionError("primitive classes enumerated")
+
+    monkeypatch.setattr(zeta, "_lyndon_levels", unexpected)
+    with pytest.raises(ValueError, match=message):
+        euler_product(g2, **{"s": 1.3, **kwargs})
 
 
 def test_determinant_real_on_real_axis(g2):
@@ -652,6 +673,17 @@ def test_jensen_bound_rejects_empty_circle_before_any_determinant(g2, monkeypatc
     for bound_tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             jensen_bound(g2, 5, 0.2, 2.0**-6, bound_tol=bound_tol)
+
+
+@pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0, math.inf])
+def test_jensen_bound_refuses_a_bad_tau_before_the_rep_and_delta(g2, monkeypatch, tau):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("rep or delta built for a bad tau")
+
+    monkeypatch.setattr(zeta, "rep_lambda_p0", unexpected)
+    monkeypatch.setattr(zeta, "delta", unexpected)
+    with pytest.raises(PartitionError, match=f"tau={tau} >=|tau must be positive, got {tau}"):
+        jensen_bound(g2, 5, 0.2, tau, K=2)
 
 
 def test_jensen_bound_refuses_a_non_surjective_prime_before_delta(monkeypatch):
