@@ -36,6 +36,7 @@ from .schottky import (
 )
 from .transfer import DEFAULT_N
 from .zeta import (
+    TRUNCATION_GAP,
     delta,
     delta_methods,
     hs_prime_sum,
@@ -303,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     search_n.add_argument("--n-basis", type=int, default=None,
                           help=f"truncation N (default: the first of N = 8, 12, ..., {DEFAULT_N} "
                                "whose answer at N - 4 agrees with the one at N: for zeros and np, "
-                               "det(1 - L_s) at N - 4 is within half its modulus of the value at N "
-                               "at every point the search evaluated; for jensen, the bound on the "
-                               "first circle is within --bound-tol of the bound at N - 4)")
+                               f"det(1 - L_s) at N - 4 is within {TRUNCATION_GAP:g} times its modulus "
+                               "of the value at N at every point the search evaluated; for jensen, the "
+                               "bound on the first circle is within --bound-tol of the bound at N - 4)")
     rep.add_argument("--rep", default="trivial")
     prime.add_argument("--p", type=int, required=True)
     prime.add_argument("--sigma", type=float, required=True)
@@ -412,12 +413,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config(parser, argv)
         outdir = Path(args.out or os.environ.get(OUTPUT_ENV_VAR) or ".")
         outdir.mkdir(parents=True, exist_ok=True)
-        resolved = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
         report = COMMANDS[args.command](args, outdir)
         payload = {
             "command": args.command,
             "version": __version__,
-            "config": {k: str(v) if isinstance(v, Path) else v for k, v in resolved.items()},
+            "config": {k: v for k, v in sorted(vars(args).items()) if k != "config"},
             "report": report,
         }
         _write_json(outdir / f"{args.command.replace('-', '_')}.json", payload)

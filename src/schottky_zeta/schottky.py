@@ -455,13 +455,13 @@ def distortion_report(
 ) -> DistortionReport:
     """Empirical min/max of the distortion ratios over the words of length
     1..max_len; max_len < 1 leaves no word to measure and raises ValueError,
-    as do an empty taus and a non-finite delta_value."""
+    as do an empty taus and a delta_value outside [0, 1], a dimension's range."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if not taus:
         raise ValueError("taus must name at least one tau")
-    if not math.isfinite(delta_value):
-        raise ValueError(f"delta must be finite, got {delta_value}")
+    if not 0 <= delta_value <= 1:
+        raise ValueError(f"delta must be in [0, 1], got {delta_value}")
     inf0 = (math.inf, -math.inf)
     deriv_ratio = ups_vs_deriv = mirror_ratio = product_ratio = inf0
     norm_sqrt_tau = y_band = inf0

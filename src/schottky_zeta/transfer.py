@@ -40,6 +40,16 @@ def _require_finite(name: str, value: complex) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _finite(name: str, compute, s: complex):
+    """compute(), with float64 overflow ignored: the one refusal of an s-dependent
+    value past float64's range, an OverflowError naming it and s."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not np.isfinite(value).all():
+        raise OverflowError(f"{name} overflows float64 at s = {s}")
+    return value
+
+
 def _moebius_log(group: SchottkyGroup, w: Word, zs: np.ndarray):
     """Images g_w(z) and the principal logarithm of g_w'(z) at the points zs;
     g_w'(z)^s is exp(s * log).
@@ -177,20 +187,22 @@ class _OperatorPlan:
     def coefficients(self, s: complex, n: int) -> np.ndarray:
         """The evaluated pairs' Fourier coefficients at s, (pair, source k,
         target k) with k < n, before the target scale; a mirror column's are
-        stored times T. One new array, filled chunk by chunk of pairs: each
-        chunk's samples of k < n, at most 2^20, are weighted and transformed in
-        one buffer, of which the first n outputs of each DFT are kept."""
+        stored times T. One new array, filled chunk by chunk of pairs, at most
+        2^20 samples of k < n weighted and transformed in one buffer, the first
+        n outputs of each DFT kept; any past float64 raises OverflowError."""
         count, n_samp = self.log_deriv.shape
         step = max(1, 2**20 // (n * n_samp))
         out = np.empty((count, n, n), complex)
         buffer = np.empty((min(step, count), n, n_samp), complex)
-        for i in range(0, count, step):
-            coef = buffer[:count - i]
-            weight = np.exp(s * self.log_deriv[i:i + step])[:, None, :]
-            np.multiply(weight, self.samples[i:i + step, :n], out=coef)
-            # each DFT in place over the contiguous last axis
-            out[i:i + step] = np.fft.fft(coef, out=coef)[:, :, :n]
-        return out
+        def fill() -> np.ndarray:
+            for i in range(0, count, step):
+                coef = buffer[:count - i]
+                weight = np.exp(s * self.log_deriv[i:i + step])[:, None, :]
+                np.multiply(weight, self.samples[i:i + step, :n], out=coef)
+                # each DFT in place over the contiguous last axis
+                out[i:i + step] = np.fft.fft(coef, out=coef)[:, :, :n]
+            return out
+        return _finite("a transfer-operator coefficient", fill, s)
 
     def blocks(self, s: complex, n: int) -> np.ndarray:
         """The blocks of the operator at s and truncation n, as in
@@ -339,15 +351,15 @@ def _pair_integrals(group: SchottkyGroup, partition: Partition, s: complex, n_ba
     blocks: dict[tuple[int, int], list[int]] = {}
     for i, (w, t) in enumerate(plan.pairs):
         blocks.setdefault((t, w[0]), []).append(i)
+    order = [index for _, index in sorted(blocks.items())]
+    keys = [(plan.pairs[i][0], plan.pairs[j][0]) for index in order for i in index for j in index]
     image = {w: tuple(group.involution[a - 1] for a in w) for w, _ in plan.pairs} if plan.mirror else {}
     for n in truncations:
+        rows = [coef[index, :n, :n].reshape(len(index), -1) for index in order]
+        gram = _finite("a pair integral", lambda: np.concatenate([(r @ r.conj().T).ravel() for r in rows]), s)
         partial: dict[tuple[Word, Word], complex] = {}
-        for _, index in sorted(blocks.items()):
-            rows = coef[index, :n, :n].reshape(len(index), -1)
-            for i, gram in zip(index, (rows @ rows.conj().T).tolist()):
-                for j, val in zip(index, gram):
-                    key = plan.pairs[i][0], plan.pairs[j][0]
-                    partial[key] = partial.get(key, 0) + val
+        for key, val in zip(keys, gram.tolist()):
+            partial[key] = partial.get(key, 0) + val
         mirrored = {(image[wa], image[wb]): val for (wa, wb), val in partial.items()} if image else {}
         yield {key: partial.get(key, 0) + mirrored.get(key, 0)
                for key in sorted(partial.keys() | mirrored.keys())}
@@ -359,7 +371,7 @@ def _trace_pair_sum(rep: UnitaryRep, ints: dict[tuple[Word, Word], complex]) -> 
     images = {w: rep.image(w) for w in dict.fromkeys(w for pair in ints for w in pair)}
     acc = 0.0 + 0.0j
     for (wa, wb), val in ints.items():
-        acc += complex(np.trace(images[wa].conj().T @ images[wb])) * val
+        acc += complex(np.vdot(images[wa], images[wb])) * val
     return acc.real
 
 
@@ -379,7 +391,7 @@ def hs_norm_integral(
     rep = rep if rep is not None else trivial_rep(group)
     value, coarse = (_trace_pair_sum(rep, ints) for ints in
                      _pair_integrals(group, partition, s, DEFAULT_N, (DEFAULT_N, DEFAULT_N - 4)))
-    if abs(value - coarse) > HS_CONVERGENCE_TOL * max(1.0, abs(value)):
+    if not abs(value - coarse) <= HS_CONVERGENCE_TOL * max(1.0, abs(value)):
         raise ConvergenceError(
             f"HS norm not converged: {coarse} at N = {DEFAULT_N - 4} vs {value} at N = {DEFAULT_N}")
     if value < 0:

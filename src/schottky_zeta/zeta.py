@@ -15,8 +15,8 @@ from .arithmetic import dyadic_primes, log_weighted_sum
 from .congruence import DIRECT_P_CAP, SurjectivityError, lambda_p0_traces, rep_lambda_p0, surjective_primes
 from .reps import UnitaryRep, trivial_rep
 from .schottky import Partition, SchottkyGroup, Word
-from .transfer import (DEFAULT_N, ConvergenceError, _require_finite, _trace_pair_sum, assemble_refined,
-                       assemble_standard, pair_integrals)
+from .transfer import (DEFAULT_N, ConvergenceError, _finite, _require_finite, _trace_pair_sum,
+                       assemble_refined, assemble_standard, pair_integrals)
 
 DELTA_BRACKET = (1e-3, 0.999)      # search interval for delta
 CHEB_START_N = 16                  # first Chebyshev proxy degree of a real-axis root search
@@ -195,17 +195,6 @@ def _shifted_det(blocks: np.ndarray, shift: float) -> complex:
     return np.prod(np.linalg.det(blocks))
 
 
-def _finite(product, name: str, s: complex) -> complex:
-    """product(), a product of block determinants, taken with float64
-    overflow ignored; a value past float64's range raises OverflowError
-    naming the determinant and s."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(product())
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{name} overflows float64 at s = {s}")
-    return value
-
-
 def zeta_det(
     group: SchottkyGroup,
     s: complex,
@@ -215,7 +204,7 @@ def zeta_det(
     """det(1 - L_{s,rho}) of the truncated standard transfer operator; a
     value past float64's range raises OverflowError."""
     blocks = assemble_standard(group, s, rep, n_basis).blocks
-    return _finite(lambda: _shifted_det(blocks, 1.0), "det(1 - L_s)", s)
+    return complex(_finite("det(1 - L_s)", lambda: _shifted_det(blocks, 1.0), s))
 
 
 def refined_zeta(
@@ -243,7 +232,8 @@ def refined_zeta(
     if all(h < 1 for h in hs2) and sum(h * h / (2 * (1 - h)) for h in hs2) <= np.finfo(float).eps:
         return complex(np.exp(-np.einsum("bij,bji->", blocks, blocks)))
     # 2 - (1 - L_b) = 1 + L_b
-    return _finite(lambda: _shifted_det(blocks, 1.0) * _shifted_det(blocks, 2.0), "det(1 - L_tau^2)", s)
+    return complex(_finite("det(1 - L_tau^2)",
+                           lambda: _shifted_det(blocks, 1.0) * _shifted_det(blocks, 2.0), s))
 
 
 def leading_eigenvalue(group: SchottkyGroup, s: float, n_basis: int = DEFAULT_N) -> float:
@@ -686,8 +676,8 @@ def jensen_bound(
     N is chosen by `_choose_n` from how far the implied bound on the first
     circle of theta_samples points moves from N - 4 to N, within bound_tol;
     the doubling then runs at that N on the same cached circle. The rep and
-    delta come from `_twist`, after the checks of the arguments and tau's partition.
-    """
+    delta come from `_twist`, after the checks of the arguments and tau's
+    partition; then a K whose annulus is empty in float64 raises ValueError."""
     if theta_samples < 1:
         raise ValueError(f"theta_samples must be >= 1, got {theta_samples}")
     _positive("K", K)
@@ -697,8 +687,10 @@ def jensen_bound(
     if sigma >= d:
         raise ValueError(f"sigma={sigma} must lie below delta={d}")
     sigma0 = d + K
-    r1 = math.sqrt((sigma0 - sigma) ** 2 + 1.0)
+    r1 = math.hypot(sigma0 - sigma, 1.0)
     r2 = r1 + 1.0 / K
+    if r2 == r1:
+        raise ValueError(f"K={K} leaves the Jensen annulus empty in float64: r1 + 1/K == r1 = {r1}")
     log_ratio = math.log(r2 / r1)
 
     @functools.cache
@@ -754,8 +746,8 @@ def hs_prime_sum(
     representation. decomposed: diagonal prime sum plus off-diagonal
     character sums via the fixed-line trace formula. A non-finite s raises
     ValueError before the sieve, and a prime p ~ x whose reduction is not onto
-    SL_2(F_p) raises SurjectivityError before any pair integral.
-    """
+    SL_2(F_p) raises SurjectivityError before any pair integral. A pair
+    integral or a returned sum past float64's range raises OverflowError."""
     if mode not in ("direct", "decomposed", "both"):
         raise ValueError(f"mode must be 'direct', 'decomposed' or 'both', got {mode!r}")
     _require_finite("s", s)
@@ -774,8 +766,8 @@ def hs_prime_sum(
 
     direct = None
     if mode in ("direct", "both"):
-        direct = log_weighted_sum(logs, np.array(
-            [_trace_pair_sum(rep_lambda_p0(group, p), ints) for p in primes]))
+        direct = _finite("the direct prime sum", lambda: log_weighted_sum(logs, np.array(
+            [_trace_pair_sum(rep_lambda_p0(group, p), ints) for p in primes])), s)
 
     decomposed = diagonal = off_diagonal = None
     fallback = 0
@@ -791,7 +783,7 @@ def hs_prime_sum(
             # a trace equal to p marks a prime where the pair word is +-I mod p
             fallback += int(np.count_nonzero(traces == prime_array))
             off_diagonal += log_weighted_sum(logs, traces) * val.real
-        decomposed = diagonal + off_diagonal
+        decomposed = _finite("the decomposed prime sum", lambda: diagonal + off_diagonal, s)
 
     return HSPrimeSumRecord(
         tau=tau, s=s, x=x, primes=tuple(primes),

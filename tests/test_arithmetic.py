@@ -256,6 +256,18 @@ def test_hs_prime_sum_refuses_a_non_finite_s_before_the_sieve(g2, monkeypatch, s
         hs_prime_sum(g2, 2.0**-6, s, 1e7, mode="decomposed")
 
 
+def test_hs_prime_sum_refuses_a_sum_past_float64(g2, monkeypatch):
+    # finite pair integrals whose log-weighted prime sums overflow
+    monkeypatch.setattr(zeta, "_trace_pair_sum", lambda rep, ints: 1e308)
+    with pytest.raises(OverflowError, match=r"^the direct prime sum overflows float64 at s = 0.9$"):
+        hs_prime_sum(g2, 2.0**-6, 0.9, 60.0, mode="direct")
+    ints = transfer.pair_integrals(g2, g2.partition(2.0**-6), 0.9)
+    scale = 1e307 / max(abs(v) for v in ints.values())
+    monkeypatch.setattr(zeta, "pair_integrals", lambda *args: {k: scale * v for k, v in ints.items()})
+    with pytest.raises(OverflowError, match=r"^the decomposed prime sum overflows float64 at s = 0.9$"):
+        hs_prime_sum(g2, 2.0**-6, 0.9, 60.0, mode="decomposed")
+
+
 def test_hs_prime_sum_decomposed_runs_no_primality_test(g2, monkeypatch):
     # the sieve's primes are certified as one array, never one is_prime at a time
     def no_is_prime(n):

@@ -157,6 +157,26 @@ def test_zeta_refuses_a_determinant_past_float64(tmp_path, capsys):
     assert not (tmp_path / "zeta.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hs-sum", "--group", "gamma_m:2", "--tau", "0.03125", "--x", "12", "--s=-50"],
+     "a pair integral overflows float64 at s = (-50+0j)"),
+    (["hs-sum", "--group", "gamma_m:2", "--tau", "0.03125", "--x", "12", "--s=0.9+2000j"],
+     "a transfer-operator coefficient overflows float64 at s = (0.9+2000j)"),
+    (["zeta", "--group", "gamma_m:2", "--re-lo", "0.5", "--re-hi", "0.6", "--im", "2000"],
+     "a transfer-operator coefficient overflows float64 at s = (0.5+2000j)"),
+], ids=["hs-sum-s-negative", "hs-sum-s-large-imaginary", "zeta-im-2000"])
+def test_a_value_past_float64_is_one_overflow_error(tmp_path, capsys, argv, message):
+    # NaN with exit 0 and warnings before the error are both gone: the whole of
+    # stderr is the one JSON error, and no report is written
+    assert run(tmp_path, *argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"status": "error", "error_type": "OverflowError", "message": message}
+    assert captured.out == ""
+    name = argv[0].replace("-", "_")
+    assert not (tmp_path / f"{name}.csv").exists()
+    assert not (tmp_path / f"{name}.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["delta", "--group", "gamma_m:2", "--tol", "0"],
     ["delta", "--group", "gamma_m:2", "--tol=-1e-8"],
@@ -221,6 +241,12 @@ def test_zeta_refuses_a_determinant_past_float64(tmp_path, capsys):
     ["zeta", "--group", "gamma_m:2", "--rep", "sym2", "--re-lo", "0.5", "--re-hi", "1.0"],
     ["validate", "--group", "no/such/group.json"],
     ["validate", "--group", "gamma_m:0"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--K", "1e17"],
+    ["jensen", "--group", "gamma_m:2", "--p", "5", "--sigma", "0.2", "--tau", "0.015625",
+     "--K", "1e300"],
+    ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--delta=-1000"],
+    ["distortion", "--group", "gamma_m:2", "--max-len", "2", "--delta", "1.5"],
 ], ids=["delta-tol-0", "delta-tol-negative", "delta-tol-below-float-spacing", "delta-tol-inf",
         "zeros-tol-0", "zeros-tol-inf",
         "zeros-lo-above-hi", "zeros-lo-equals-hi", "zeros-hi-inf", "zeros-lo-minus-inf",
@@ -238,7 +264,9 @@ def test_zeta_refuses_a_determinant_past_float64(tmp_path, capsys):
         "zeta-rep-composite-modulus", "np-p-composite", "hs-sum-x-negative",
         "hs-sum-no-prime-in-range", "charsum-d-empty", "charsum-x-empty",
         "np-p-not-an-int", "unknown-flag", "missing-required-flag", "unknown-command",
-        "config-without-a-path", "zeta-unknown-rep", "unresolvable-group", "validate-gamma-m-0"])
+        "config-without-a-path", "zeta-unknown-rep", "unresolvable-group", "validate-gamma-m-0",
+        "jensen-K-1e17", "jensen-K-1e300", "distortion-delta-negative",
+        "distortion-delta-above-1"])
 def test_out_of_range_input_is_a_json_error(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().err)
@@ -637,4 +665,4 @@ def test_np_help_states_how_n_is_chosen(capsys):
     assert exit_info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert f"N = 8, 12, ..., {cli.DEFAULT_N}" in text
-    assert "det(1 - L_s) at N - 4 is within half its modulus of the value at N" in text
+    assert f"det(1 - L_s) at N - 4 is within {zeta.TRUNCATION_GAP:g} times its modulus of the value at N" in text

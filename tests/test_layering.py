@@ -137,17 +137,23 @@ def test_surjectivity_is_decided_in_congruence_alone():
     assert raisers == ["hs_prime_sum"]
 
 
-def _range_checks(node: ast.AST, function: str | None = None):
-    """The innermost enclosing function of each `0 < x < math.inf` under node."""
+def _enclosing(node: ast.AST, match, function: str | None = None):
+    """The innermost enclosing function of each node under node that match accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _range_checks(child, child.name)
+            yield from _enclosing(child, match, child.name)
             continue
-        if (isinstance(child, ast.Compare) and len(child.ops) == 2
-                and all(isinstance(op, ast.Lt) for op in child.ops)
-                and ast.unparse(child.left) == "0" and ast.unparse(child.comparators[1]) == "math.inf"):
+        if match(child):
             yield function
-        yield from _range_checks(child, function)
+        yield from _enclosing(child, match, function)
+
+
+def _range_checks(node: ast.AST):
+    """The innermost enclosing function of each `0 < x < math.inf` under node."""
+    return _enclosing(node, lambda child: (
+        isinstance(child, ast.Compare) and len(child.ops) == 2
+        and all(isinstance(op, ast.Lt) for op in child.ops)
+        and ast.unparse(child.left) == "0" and ast.unparse(child.comparators[1]) == "math.inf"))
 
 
 def _classes_named(name: str) -> list[str]:
@@ -165,3 +171,18 @@ def test_each_refusal_and_the_convergence_error_are_written_once():
     assert {name: where for name, where in checks.items() if where} == {"zeta": ["_positive"]}
     assert _classes_named("QuadratureError") == []
     assert _classes_named("ConvergenceError") == ["transfer"]
+
+
+def test_one_overflow_refusal_in_transfer():
+    # every s-dependent value past float64's range is refused by transfer._finite
+    # alone: it holds the one np.errstate and the one raise of OverflowError in src
+    def overflow_site(node):
+        return (isinstance(node, ast.Raise) and node.exc is not None
+                and ast.unparse(node.exc).split("(")[0] == "OverflowError"
+                or isinstance(node, ast.Call) and ast.unparse(node.func).endswith("errstate"))
+
+    sites = sorted((path.stem, where) for path in PACKAGE_DIR.glob("*.py")
+                   for where in _enclosing(ast.parse(path.read_text()), overflow_site))
+    assert sites == [("transfer", "_finite"), ("transfer", "_finite")]
+    zeta = ast.parse((PACKAGE_DIR / "zeta.py").read_text())
+    assert "_finite" not in {node.name for node in ast.walk(zeta) if isinstance(node, ast.FunctionDef)}

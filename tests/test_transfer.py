@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -237,6 +238,47 @@ def test_hs_norm_integral_names_both_truncations_when_they_disagree(g2, part2_64
                        match=rf"HS norm not converged: .* at N = {DEFAULT_N - 4} vs .* at N = {DEFAULT_N}$"):
         hs_norm_integral(g2, part2_64, 0.9)
     assert zeta.ConvergenceError is transfer.ConvergenceError
+
+
+def test_hs_norm_integral_refuses_a_non_finite_norm(g2, part2_64, monkeypatch):
+    # the N - 4 comparison fails closed: a NaN on either side is never converged
+    monkeypatch.setattr(transfer, "_trace_pair_sum", lambda rep, ints: math.nan)
+    with pytest.raises(transfer.ConvergenceError, match="HS norm not converged: nan"):
+        hs_norm_integral(g2, part2_64, 0.9)
+
+
+def test_pair_integrals_and_hs_norm_refuse_an_s_past_float64(g2):
+    # the coefficients at s = -50 are finite, and their Gram products are not
+    part = g2.partition(2**-5)
+    with pytest.raises(OverflowError, match=r"^a pair integral overflows float64 at s = -50$"):
+        pair_integrals(g2, part, -50)
+    with pytest.raises(OverflowError, match=r"^a pair integral overflows float64 at s = -50$"):
+        hs_norm_integral(g2, part, -50)
+
+
+@pytest.mark.parametrize("s", [-125.15, 0.5 + 2000j])
+def test_coefficients_past_float64_are_refused_where_they_start(g2, s):
+    # at -125.15 every weight g_w'(z)^s is finite and a DFT of the weighted
+    # samples is not; at 0.5 + 2000i the weights themselves overflow
+    message = f"a transfer-operator coefficient overflows float64 at s = {s}"
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        zeta_det(g2, s)
+    plan = transfer._plan(g2, g2.standard_pairs, trivial_rep(g2), DEFAULT_N)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.exp(s * plan.log_deriv)).all() == (s == -125.15)
+
+
+def test_trace_pair_sum_matches_the_trace_of_each_product(g2, part2_64):
+    # tr(rho(g_a)^* rho(g_b)) is taken as one inner product; the trace of the
+    # dense product is the reference, within the rounding of the sum
+    ints = pair_integrals(g2, part2_64, 0.9)
+    real = rep_lambda_p0(g2, 11)
+    phased = UnitaryRep(dim=real.dim, label="phased", images={
+        a: u * np.exp(0.3j if a <= g2.m else -0.3j) for a, u in real.images.items()})
+    for rep in (real, phased):
+        terms = [np.trace(rep.image(wa).conj().T @ rep.image(wb)) * v for (wa, wb), v in ints.items()]
+        tolerance = 64 * np.finfo(float).eps * sum(abs(term) for term in terms)
+        assert abs(transfer._trace_pair_sum(rep, ints) - sum(terms).real) <= tolerance
 
 
 def test_hs_record_metadata(g2, part2_64):
